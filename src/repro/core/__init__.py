@@ -6,7 +6,9 @@ integer delay at least the hardware minimum ``delta = 1``, computation
 initiated by stimulating input neurons at ``t = 0`` and terminated when a
 designated terminal neuron first spikes.
 
-Two engines share identical semantics:
+Three engines share identical semantics, stop metadata included, because
+they share one run core (:mod:`~repro.core.stepping`) and differ only in
+how spikes are delivered:
 
 * :func:`~repro.core.engine.simulate_dense` — advances every neuron every
   tick with vectorized NumPy state; right for circuit-heavy networks where
@@ -15,6 +17,9 @@ Two engines share identical semantics:
   deliveries from a priority queue and closes voltage decay lazily; right for
   the delay-encoded algorithms of Sections 3–4 where the simulated horizon
   ``T = O(L)`` far exceeds the number of spikes.
+* :func:`~repro.core.sparse.simulate_sparse` — vectorized delay-bucketed
+  CSR scatter over only the ticks that carry activity; right for large,
+  low-density delay-encoded networks.
 
 ``simulate`` picks an engine automatically.  ``simulate_batch`` runs B
 independent stimuli over one shared network, stepping all items in lockstep
@@ -23,7 +28,7 @@ or falling back to per-item dispatch where batching cannot help; the
 :mod:`~repro.core.cache` build cache lets repeated queries of one structure
 skip network construction entirely.
 
-Runtime robustness (both engines, identical semantics):
+Runtime robustness (every engine, identical semantics):
 
 * :class:`~repro.core.transient.FaultModel` implementations inject seeded
   per-tick transient faults — spike drops, spurious spikes, stuck-at

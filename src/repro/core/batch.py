@@ -31,17 +31,23 @@ dispatch for those.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union, cast
 
 import numpy as np
 
-from repro.core.engine import StimulusSpec, _normalize_stimulus
 from repro.core.network import CompiledNetwork, Network
 from repro.core.result import SimulationResult, StopReason
-from repro.core.transient import BoundFaults, FaultModel
+from repro.core.stepping import (
+    FiringState,
+    StimulusSpec,
+    check_max_steps,
+    normalize_stimulus,
+    resolve_terminal,
+    watch_mask,
+)
+from repro.core.transient import FaultModel
 from repro.errors import ValidationError
 from repro.telemetry.hooks import EngineHooks
-from repro.telemetry.metrics import counter_inc
 
 __all__ = ["simulate_dense_batch"]
 
@@ -92,265 +98,170 @@ def simulate_dense_batch(
     produced for that stimulus.
     """
     net = network.compile() if isinstance(network, Network) else network
-    if max_steps < 0:
-        raise ValidationError(f"max_steps must be >= 0, got {max_steps}")
+    check_max_steps(max_steps)
     B = len(stimuli)
     if B == 0:
         return []
     n = net.n
-    term = terminal if terminal is not None else net.terminal
-
-    watch_mask = None
-    watch_remaining = None
-    if watch is not None:
-        watch_mask = np.zeros(n, dtype=bool)
-        watch_mask[np.asarray(list(watch), dtype=np.int64)] = True
-        watch_remaining = np.full(B, int(watch_mask.sum()), dtype=np.int64)
-
-    stim_list = [_normalize_stimulus(s) for s in stimuli]
-    stim_by_tick: Dict[int, List] = {}
-    last_stim = np.full(B, -1, dtype=np.int64)
-    for b, stim in enumerate(stim_list):
-        for tick, ids in stim.items():
-            if ids.size and (ids.min() < 0 or ids.max() >= n):
-                raise ValidationError("stimulus neuron id out of range")
-            if tick > 0:
-                stim_by_tick.setdefault(tick, []).append((b, ids))
-            last_stim[b] = max(last_stim[b], tick)
-
+    term = resolve_terminal(terminal, net)
+    watched = watch_mask(watch, n)
+    stim_list = [normalize_stimulus(s, n) for s in stimuli]
     fault_models = _per_item(faults, B, FaultModel, "faults")
     hook_list = _per_item(hooks, B, EngineHooks, "hooks")
-    rf: List[Optional[BoundFaults]] = [
-        m.bind(net, max_steps) if m is not None else None for m in fault_models
+
+    fired_ever = np.zeros((B, n), dtype=bool)
+    first_spike = np.full((B, n), -1, dtype=np.int64)
+    spike_counts = np.zeros((B, n), dtype=np.int64)
+    # each item's firing rules, over its rows of the shared state
+    items = [
+        FiringState(
+            net,
+            stim_list[b],
+            first_spike[b],
+            spike_counts[b],
+            fired_ever[b],
+            term=term,
+            watch_mask=watched,
+            record_spikes=record_spikes,
+            rf=model.bind(net, max_steps) if model is not None else None,
+            hooks=hook_list[b],
+        )
+        for b, model in enumerate(fault_models)
     ]
-    next_forced: List[Optional[int]] = [
-        r.next_forced_tick(-1) if r is not None else None for r in rf
-    ]
-    have_faults = any(r is not None for r in rf)
-    have_hooks = any(h is not None for h in hook_list)
-    # Fully vectorized registration is only exact to use when nothing needs
-    # per-item event streams: fault suppression, hook callbacks, and spike
-    # recording all consume per-item fired-id arrays.
-    plain = not (have_faults or have_hooks or record_spikes)
+    # Fully vectorized firing is only exact when nothing needs per-item
+    # event streams: fault realization, hook callbacks and spike recording
+    # all go through each item's FiringState, and only faults and hooks
+    # need each item to see its own deliveries.
+    masked = any(i.rf is not None or i.hooks is not None for i in items)
+    plain = not (record_spikes or masked)
+    stim_by_tick: Dict[int, List[int]] = {}  # the plain path's input schedule
+    for b, stim in enumerate(stim_list):
+        for tick in stim:
+            stim_by_tick.setdefault(tick, []).append(b)
 
     D = net.max_delay
     n_slots = D + 1
     buf = np.zeros((n_slots, B, n), dtype=np.float64)
     slot_counts = np.zeros((n_slots, B), dtype=np.int64)
     v = np.broadcast_to(net.v_reset, (B, n)).copy()
-    fired_ever = np.zeros((B, n), dtype=bool)
-    first_spike = np.full((B, n), -1, dtype=np.int64)
-    spike_counts = np.zeros((B, n), dtype=np.int64)
     any_one_shot = bool(net.one_shot.any())
-    has_pacemakers = net.has_pacemakers
-    spike_events: Optional[List[Dict[int, np.ndarray]]] = (
-        [dict() for _ in range(B)] if record_spikes else None
-    )
+    quiescible = stop_when_quiescent and not net.has_pacemakers
 
     active = np.ones(B, dtype=bool)
-    stop_reason: List[Optional[StopReason]] = [None] * B
-    final_tick = np.zeros(B, dtype=np.int64)
+    results: List[Optional[SimulationResult]] = [None] * B
 
-    for b, h in enumerate(hook_list):
+    for h in hook_list:
         if h is not None:
             h.on_run_start(n, max_steps, "dense-batch")
 
     def stop(b: int, reason: StopReason, t: int) -> None:
-        stop_reason[b] = reason
-        final_tick[b] = t
+        results[b] = items[b].close(t, reason)
         active[b] = False
-        h = hook_list[b]
-        if h is not None:
-            h.on_stop(t, reason, None)
-
-    def register(b: int, ids: np.ndarray, t: int) -> None:
-        """Per-item spike bookkeeping, identical to the solo engine's."""
-        newly = ids[~fired_ever[b, ids]]
-        first_spike[b, newly] = t
-        if watch_mask is not None and newly.size:
-            watch_remaining[b] -= int(watch_mask[newly].sum())
-        fired_ever[b, ids] = True
-        spike_counts[b, ids] += 1
-        if spike_events is not None and ids.size:
-            spike_events[b][t] = ids.copy()
-        h = hook_list[b]
-        if h is not None and ids.size:
-            h.on_spikes(t, ids)
 
     buf_flat = buf.reshape(-1)
     slot_counts_flat = slot_counts.reshape(-1)
 
-    def scatter_all(b_arr: np.ndarray, id_arr: np.ndarray, t: int) -> None:
-        """Emit the out-synapses of every (item, neuron) spike pair at ``t``.
+    def emit(b_arr: np.ndarray, ids: np.ndarray, t: int) -> None:
+        """Schedule the out-synapses of the spikes ``(b_arr[i], ids[i])`` at ``t``.
 
-        Deliveries of different items land in disjoint buffer cells, and
-        within one item the synapse order equals the solo engine's CSR
-        order, so per-cell float accumulation order matches the solo run
-        exactly.
+        Pairs come sorted by item.  With faults or hooks, each item masks
+        and reports its own synapses through its FiringState.  Deliveries
+        of different items land in disjoint buffer cells, and within one
+        item the synapse order equals the solo engine's CSR order, so
+        per-cell float accumulation order matches the solo run exactly.
         """
-        counts = net.indptr[id_arr + 1] - net.indptr[id_arr]
-        syn_idx = net.gather_out_synapses(id_arr)
-        if syn_idx.size == 0:
-            return
-        owner = np.repeat(b_arr, counts)
-        weights = net.syn_weight[syn_idx]
-        dropped = None
-        if have_faults:
-            keep = np.ones(syn_idx.size, dtype=bool)
-            for b in np.unique(owner):
-                r = rf[b]
-                if r is None:
-                    continue
-                sel = owner == b
-                keep[sel] = r.keep_deliveries(t, syn_idx[sel])
-            dropped = np.bincount(owner[~keep], minlength=B)
-            emitted = np.bincount(owner, minlength=B)
-            owner = owner[keep]
-            syn_idx = syn_idx[keep]
-            weights = weights[keep]
-            for b in np.unique(owner):
-                r = rf[b]
-                if r is None:
-                    continue
-                sel = owner == b
-                weights[sel] = r.deliver_weights(t, syn_idx[sel], weights[sel])
-        if have_hooks:
-            scheduled = np.bincount(owner, minlength=B)
-            counted = emitted if dropped is not None else scheduled
-            for b in np.nonzero(counted)[0]:
-                h = hook_list[b]
-                if h is not None:
-                    d = int(dropped[b]) if dropped is not None else 0
-                    h.on_deliveries(t, int(scheduled[b]), d)
-        if syn_idx.size == 0:
-            return
-        slots = (t + net.syn_delay[syn_idx]) % n_slots
-        np.add.at(buf_flat, (slots * B + owner) * n + net.syn_dst[syn_idx], weights)
+        syn = net.gather_out_synapses(ids)
+        owner = np.repeat(b_arr, net.indptr[ids + 1] - net.indptr[ids])
+        if not masked:
+            weights = net.syn_weight[syn]
+        else:
+            uniq, starts = np.unique(owner, return_index=True)
+            ends = np.append(starts[1:], owner.size).tolist()
+            parts = []
+            for b, lo, hi in zip(uniq.tolist(), starts.tolist(), ends):
+                syn_b, w_b = items[b].deliveries(t, syn[lo:hi])
+                parts.append((np.full(syn_b.size, b, dtype=np.int64), syn_b, w_b))
+            if not parts:
+                return
+            owner, syn, weights = (np.concatenate(p) for p in zip(*parts))
+        slots = (t + net.syn_delay[syn]) % n_slots
+        np.add.at(buf_flat, (slots * B + owner) * n + net.syn_dst[syn], weights)
         np.add.at(slot_counts_flat, slots * B + owner, 1)
 
-    # ---- tick 0: induced input spikes, per item ------------------------- #
-    t = 0
-    tick0_fired = np.zeros(B, dtype=np.int64)
-    all_b: List[np.ndarray] = []
-    all_ids: List[np.ndarray] = []
-    for b in range(B):
-        ids0 = stim_list[b].get(0, np.empty(0, dtype=np.int64))
-        if next_forced[b] == 0:
-            forced0 = rf[b].forced_at(0)
-            if hook_list[b] is not None and forced0.size:
-                hook_list[b].on_fault_forced(0, forced0)
-            ids0 = np.union1d(ids0, forced0)
-            next_forced[b] = rf[b].next_forced_tick(0)
-        if rf[b] is not None and ids0.size:
-            sup0 = rf[b].suppressed(0, ids0)
-            if sup0.any():
-                if hook_list[b] is not None:
-                    hook_list[b].on_fault_suppressed(0, ids0[sup0])
-                ids0 = ids0[~sup0]
-        if ids0.size:
-            register(b, ids0, 0)
-            all_b.append(np.full(ids0.size, b, dtype=np.int64))
-            all_ids.append(ids0)
-        tick0_fired[b] = ids0.size
-    if all_ids:
-        scatter_all(np.concatenate(all_b), np.concatenate(all_ids), 0)
-    for b in range(B):
-        if term is not None and tick0_fired[b] and fired_ever[b, term]:
-            stop(b, StopReason.TERMINAL, 0)
-        elif watch_remaining is not None and watch_remaining[b] == 0:
-            stop(b, StopReason.WATCH_SET, 0)
-
-    # ---- main loop ------------------------------------------------------ #
+    t = -1
     while active.any():
         if t >= max_steps:
-            for b in np.nonzero(active)[0]:
-                stop(int(b), StopReason.MAX_STEPS, t)
+            for b in np.flatnonzero(active).tolist():
+                stop(b, StopReason.MAX_STEPS, t)
             break
         t += 1
-        slot = t % n_slots
-        syn = buf[slot]
-        slot_counts[slot, :] = 0
-        # Eq. (1) for every item at once: decay toward reset, integrate.
-        vhat = v + (net.v_reset - v) * net.tau + syn
-        syn[:] = 0.0
-        fire = vhat > net.v_threshold  # Eq. (2), strict
-        if any_one_shot:
-            fire &= ~(net.one_shot[None, :] & fired_ever)
+        if t == 0:
+            # tick 0 carries induced spikes only (Definition 3 start)
+            vhat = v
+            fire = np.zeros((B, n), dtype=bool)
+        else:
+            slot = t % n_slots
+            arriving = buf[slot]
+            slot_counts[slot, :] = 0
+            # Eq. (1) for every item at once: decay toward reset, integrate.
+            vhat = v + (net.v_reset - v) * net.tau + arriving
+            arriving[:] = 0.0
+            fire = vhat > net.v_threshold  # Eq. (2), strict
+            if any_one_shot:
+                fire &= ~(net.one_shot[None, :] & fired_ever)
         fire[~active] = False
-        for b, ids in stim_by_tick.get(t, ()):
-            if active[b] and ids.size:
-                fire[b, ids] = True
-        if have_faults:
-            for b in np.nonzero(active)[0]:
-                if next_forced[b] == t:
-                    forced = rf[b].forced_at(t)
-                    if hook_list[b] is not None and forced.size:
-                        hook_list[b].on_fault_forced(t, forced)
-                    fire[b, forced] = True
-                    next_forced[b] = rf[b].next_forced_tick(t)
-        v = np.where(fire, net.v_reset, vhat)  # Eq. (3)
         fired_sizes = np.zeros(B, dtype=np.int64)
-        b_all, id_all = np.nonzero(fire)
         if plain:
+            for b in stim_by_tick.get(t, ()):
+                ids = stim_list[b].pop(t)
+                if active[b] and ids.size:
+                    fire[b, ids] = True
+            b_all, id_all = np.nonzero(fire)
             if id_all.size:
                 newly = fire & ~fired_ever
                 first_spike[newly] = t
-                if watch_remaining is not None:
-                    watch_remaining -= (newly & watch_mask[None, :]).sum(axis=1)
+                if watched is not None:
+                    for b, k in enumerate((newly & watched[None, :]).sum(axis=1).tolist()):
+                        items[b].watch_remaining -= k
                 fired_ever |= fire
                 spike_counts += fire
                 np.add.at(fired_sizes, b_all, 1)
-                scatter_all(b_all, id_all, t)
-        elif id_all.size:
-            scat_b: List[np.ndarray] = []
-            scat_ids: List[np.ndarray] = []
-            uniq, starts = np.unique(b_all, return_index=True)
-            ends = np.append(starts[1:], b_all.size)
-            for b, lo, hi in zip(uniq.tolist(), starts.tolist(), ends.tolist()):
-                ids = id_all[lo:hi]
-                if rf[b] is not None:
-                    # suppressed spikes are "fired but lost": the voltage
-                    # reset above stands, nothing is recorded or delivered
-                    sup = rf[b].suppressed(t, ids)
-                    if sup.any():
-                        if hook_list[b] is not None:
-                            hook_list[b].on_fault_suppressed(t, ids[sup])
-                        ids = ids[~sup]
-                if ids.size:
-                    register(b, ids, t)
-                    scat_b.append(np.full(ids.size, b, dtype=np.int64))
-                    scat_ids.append(ids)
+                emit(b_all, id_all, t)
+        else:
+            b_all, id_all = np.nonzero(fire)
+            bounds = np.searchsorted(b_all, np.arange(B + 1)).tolist()
+            fired_b: List[np.ndarray] = []
+            fired_ids: List[np.ndarray] = []
+            for b in np.flatnonzero(active).tolist():
+                item = items[b]
+                lo, hi = bounds[b], bounds[b + 1]
+                if lo == hi and t not in item.stim and item.next_forced != t:
+                    continue  # nothing crossed, nothing induced or forced
+                reset, ids = item.fire(t, id_all[lo:hi].copy())
+                if reset.size != hi - lo:
+                    fire[b, reset] = True
                 fired_sizes[b] = ids.size
-            if scat_ids:
-                scatter_all(np.concatenate(scat_b), np.concatenate(scat_ids), t)
+                if ids.size:
+                    fired_b.append(np.full(ids.size, b, dtype=np.int64))
+                    fired_ids.append(ids)
+            if fired_ids:
+                emit(np.concatenate(fired_b), np.concatenate(fired_ids), t)
+        v = np.where(fire, net.v_reset, vhat)  # Eq. (3)
         # per-item stop checks after the full tick
         outstanding = slot_counts.sum(axis=0)
-        for b in np.nonzero(active)[0]:
-            b = int(b)
-            if term is not None and fired_ever[b, term]:
-                stop(b, StopReason.TERMINAL, t)
-            elif watch_remaining is not None and watch_remaining[b] == 0:
-                stop(b, StopReason.WATCH_SET, t)
-            elif (
-                stop_when_quiescent
-                and not has_pacemakers
-                and fired_sizes[b] == 0
-                and outstanding[b] == 0
-                and last_stim[b] <= t
-                and next_forced[b] is None
+        for b in np.flatnonzero(active).tolist():
+            item = items[b]
+            reason = item.settled()
+            if (
+                reason is None
+                and quiescible
+                and t
+                and not fired_sizes[b]
+                and not outstanding[b]
+                and not item.awaiting_input()
             ):
-                stop(b, StopReason.QUIESCENT, t)
+                reason = StopReason.QUIESCENT
+            if reason is not None:
+                stop(b, reason, t)
 
-    counter_inc("engine.runs", B)
-    counter_inc("engine.spikes", int(spike_counts.sum()))
-    counter_inc("engine.ticks", int(final_tick.sum()))
-    return [
-        SimulationResult(
-            first_spike=first_spike[b].copy(),
-            spike_counts=spike_counts[b].copy(),
-            final_tick=int(final_tick[b]),
-            stop_reason=stop_reason[b],
-            spike_events=spike_events[b] if spike_events is not None else None,
-        )
-        for b in range(B)
-    ]
+    return cast(List[SimulationResult], results)

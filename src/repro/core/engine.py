@@ -14,53 +14,66 @@ the number of spikes, prefer
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from repro.core.network import CompiledNetwork, Network
-from repro.core.result import SimulationResult, StopReason
+from repro.core.result import SimulationResult
+from repro.core.stepping import NO_IDS, RunCore, StimulusSpec, run_every_tick
 from repro.core.transient import FaultModel
-from repro.core.watchdog import Watchdog, WatchdogState
-from repro.errors import NonQuiescenceError, RunawaySpikesError, ValidationError
+from repro.core.watchdog import Watchdog
 from repro.telemetry.hooks import EngineHooks
-from repro.telemetry.metrics import counter_inc
 
 __all__ = ["simulate_dense"]
 
-StimulusSpec = Union[Sequence[int], Mapping[int, Sequence[int]]]
 
+class DenseDelivery:
+    """Delivery backend of the dense engine: a ``(max_delay + 1, n)`` ring buffer.
 
-def _normalize_probes(probe_voltages: Optional[Iterable[int]], n: int) -> list:
-    """Deduplicated, validated probe ids (first occurrence order kept)."""
-    if probe_voltages is None:
-        return []
-    probes = []
-    seen = set()
-    for p in probe_voltages:
-        pid = int(p)
-        if not (0 <= pid < n):
-            raise ValidationError(
-                f"voltage probe id {pid} out of range for network of {n} neurons"
-            )
-        if pid not in seen:
-            seen.add(pid)
-            probes.append(pid)
-    return probes
+    Row ``t % (max_delay + 1)`` accumulates the synaptic input arriving at
+    tick ``t``; every tick decays and integrates all ``n`` voltages.
+    """
 
+    def __init__(self, core: RunCore) -> None:
+        net = core.net
+        self.net = net
+        self.core = core
+        self.n_slots = net.max_delay + 1
+        self.buf = np.zeros((self.n_slots, net.n), dtype=np.float64)
+        self.slot_counts = np.zeros(self.n_slots, dtype=np.int64)
+        self.v = net.v_reset.copy()
+        self._any_one_shot = bool(net.one_shot.any())
 
-def _normalize_stimulus(stimulus: Optional[StimulusSpec]) -> Dict[int, np.ndarray]:
-    """Normalize to ``{tick: array-of-neuron-ids}`` with tick-0 default."""
-    if stimulus is None:
-        return {}
-    if isinstance(stimulus, Mapping):
-        out = {}
-        for tick, ids in stimulus.items():
-            if tick < 0:
-                raise ValidationError(f"stimulus tick must be >= 0, got {tick}")
-            out[int(tick)] = np.asarray(sorted(set(int(i) for i in ids)), dtype=np.int64)
-        return out
-    return {0: np.asarray(sorted(set(int(i) for i in stimulus)), dtype=np.int64)}
+    def integrate(self, t: int) -> np.ndarray:
+        if t == 0:
+            return NO_IDS
+        net = self.net
+        slot = t % self.n_slots
+        syn = self.buf[slot]
+        self.slot_counts[slot] = 0
+        # Eq. (1): decay toward reset, then integrate synaptic input.
+        self.v = self.v + (net.v_reset - self.v) * net.tau + syn
+        syn[:] = 0.0
+        fire = self.v > net.v_threshold  # Eq. (2), strict
+        if self._any_one_shot:
+            fire &= ~(net.one_shot & self.core.fired_ever)
+        return np.flatnonzero(fire)
+
+    def reset(self, ids: np.ndarray, t: int) -> None:
+        self.v[ids] = self.net.v_reset[ids]  # Eq. (3)
+
+    def propagate(self, ids: np.ndarray, t: int) -> None:
+        net = self.net
+        syn, weights = self.core.deliveries(t, net.gather_out_synapses(ids))
+        if not syn.size:
+            return
+        slots = (t + net.syn_delay[syn]) % self.n_slots
+        np.add.at(self.buf.reshape(-1), slots * net.n + net.syn_dst[syn], weights)
+        np.add.at(self.slot_counts, slots, 1)
+
+    def in_flight(self) -> bool:
+        return bool(self.slot_counts.any())
 
 
 def simulate_dense(
@@ -93,7 +106,9 @@ def simulate_dense(
         Neuron whose first spike terminates the run (defaults to the
         network's designated terminal, if any).
     watch:
-        Stop once every neuron in this set has fired.
+        Stop once every neuron in this set has fired.  Out-of-range
+        ``terminal`` or ``watch`` ids raise
+        :class:`~repro.errors.ValidationError`.
     stop_when_quiescent:
         Stop early when no deliveries remain scheduled and nothing fired in
         the current tick (never triggers while pacemaker neurons exist).
@@ -105,10 +120,10 @@ def simulate_dense(
     faults:
         Optional :class:`~repro.core.transient.FaultModel` injecting
         per-tick transient faults (delivery drops, spurious/stuck neurons,
-        weight drift).  Semantics are identical in the event engine.
+        weight drift).  Semantics are identical in every engine.
     watchdog:
         Optional :class:`~repro.core.watchdog.Watchdog`.  A runaway spike
-        rate stops the run with :attr:`StopReason.RUNAWAY` and a diagnostic
+        rate stops the run (stop reason ``RUNAWAY``) with a diagnostic
         report (or raises with ``raise_on_trip``); exhausting ``max_steps``
         while activity continues attaches a non-quiescence report.
     hooks:
@@ -118,209 +133,17 @@ def simulate_dense(
         default) keeps the loop free of telemetry work.
     """
     net = network.compile() if isinstance(network, Network) else network
-    if max_steps < 0:
-        raise ValidationError(f"max_steps must be >= 0, got {max_steps}")
-    n = net.n
-    term = terminal if terminal is not None else net.terminal
-    watch_set = None
-    watch_remaining = 0
-    watch_mask = None
-    if watch is not None:
-        watch_mask = np.zeros(n, dtype=bool)
-        watch_mask[np.asarray(list(watch), dtype=np.int64)] = True
-        watch_remaining = int(watch_mask.sum())
-
-    stim = _normalize_stimulus(stimulus)
-    for ids in stim.values():
-        if ids.size and (ids.min() < 0 or ids.max() >= n):
-            raise ValidationError("stimulus neuron id out of range")
-    pending_stim_ticks = sorted(stim)
-
-    D = net.max_delay
-    n_slots = D + 1
-    buf = np.zeros((n_slots, n), dtype=np.float64)
-    slot_counts = np.zeros(n_slots, dtype=np.int64)
-    v = net.v_reset.copy()
-    fired_ever = np.zeros(n, dtype=bool)
-    first_spike = np.full(n, -1, dtype=np.int64)
-    spike_counts = np.zeros(n, dtype=np.int64)
-    any_one_shot = bool(net.one_shot.any())
-    has_pacemakers = net.has_pacemakers
-
-    probes = _normalize_probes(probe_voltages, n)
-    probes_arr = np.asarray(probes, dtype=np.int64) if probes else None
-    voltage_traces: Optional[Dict[int, list]] = (
-        {p: [float(v[p])] for p in probes} if probes else None
+    core = RunCore(
+        net,
+        stimulus,
+        engine="dense",
+        max_steps=max_steps,
+        terminal=terminal,
+        watch=watch,
+        record_spikes=record_spikes,
+        probes=probe_voltages,
+        faults=faults,
+        watchdog=watchdog,
+        hooks=hooks,
     )
-    spike_events: Optional[Dict[int, np.ndarray]] = {} if record_spikes else None
-
-    rf = faults.bind(net, max_steps) if faults is not None else None
-    next_forced = rf.next_forced_tick(-1) if rf is not None else None
-    wd = WatchdogState(watchdog, n, net.names) if watchdog is not None else None
-    diagnostic = None
-    if hooks is not None:
-        hooks.on_run_start(n, max_steps, "dense")
-
-    def scatter(ids: np.ndarray, t: int) -> None:
-        syn_idx = net.gather_out_synapses(ids)
-        if syn_idx.size == 0:
-            return
-        weights = net.syn_weight[syn_idx]
-        dropped = 0
-        if rf is not None:
-            keep = rf.keep_deliveries(t, syn_idx)
-            if not keep.all():
-                dropped = int(syn_idx.size - keep.sum())
-                syn_idx = syn_idx[keep]
-                weights = weights[keep]
-            if syn_idx.size:
-                weights = rf.deliver_weights(t, syn_idx, weights)
-        if hooks is not None:
-            hooks.on_deliveries(t, int(syn_idx.size), dropped)
-        if syn_idx.size == 0:
-            return
-        slots = (t + net.syn_delay[syn_idx]) % n_slots
-        flat = slots * n + net.syn_dst[syn_idx]
-        np.add.at(buf.reshape(-1), flat, weights)
-        np.add.at(slot_counts, slots, 1)
-
-    def register_spikes(ids: np.ndarray, t: int) -> None:
-        nonlocal watch_remaining
-        newly = ids[~fired_ever[ids]]
-        first_spike[newly] = t
-        if watch_mask is not None and newly.size:
-            watch_remaining -= int(watch_mask[newly].sum())
-        fired_ever[ids] = True
-        spike_counts[ids] += 1
-        if spike_events is not None and ids.size:
-            spike_events[t] = ids.copy()
-        if hooks is not None and ids.size:
-            hooks.on_spikes(t, ids)
-
-    # ---- tick 0: induced input spikes ---------------------------------- #
-    t = 0
-    ids0 = stim.get(0, np.empty(0, dtype=np.int64))
-    if next_forced == 0:
-        forced0 = rf.forced_at(0)
-        if hooks is not None and forced0.size:
-            hooks.on_fault_forced(0, forced0)
-        ids0 = np.union1d(ids0, forced0)
-        next_forced = rf.next_forced_tick(0)
-    if rf is not None and ids0.size:
-        sup0 = rf.suppressed(0, ids0)
-        if sup0.any():
-            if hooks is not None:
-                hooks.on_fault_suppressed(0, ids0[sup0])
-            ids0 = ids0[~sup0]
-    if ids0.size:
-        register_spikes(ids0, 0)
-        scatter(ids0, 0)
-    if hooks is not None and probes_arr is not None:
-        hooks.on_probe(0, probes, v[probes_arr])
-    stop_reason = None
-    if wd is not None:
-        report = wd.observe(0, ids0)
-        if report is not None:
-            if watchdog.raise_on_trip:
-                raise RunawaySpikesError(report.describe(), report)
-            stop_reason = StopReason.RUNAWAY
-            diagnostic = report
-    if stop_reason is not None:
-        pass
-    elif term is not None and ids0.size and fired_ever[term]:
-        stop_reason = StopReason.TERMINAL
-    elif watch_mask is not None and watch_remaining == 0:
-        stop_reason = StopReason.WATCH_SET
-
-    # ---- main loop ------------------------------------------------------ #
-    while stop_reason is None:
-        if t >= max_steps:
-            stop_reason = StopReason.MAX_STEPS
-            break
-        t += 1
-        slot = t % n_slots
-        syn = buf[slot]
-        slot_counts[slot] = 0
-        # Eq. (1): decay toward reset, then integrate synaptic input.
-        vhat = v + (net.v_reset - v) * net.tau + syn
-        syn[:] = 0.0
-        fire = vhat > net.v_threshold  # Eq. (2), strict
-        if any_one_shot:
-            fire &= ~(net.one_shot & fired_ever)
-        # induced spikes this tick fire unconditionally
-        ids_stim = stim.get(t)
-        if ids_stim is not None and ids_stim.size:
-            fire[ids_stim] = True
-        if next_forced == t:
-            forced = rf.forced_at(t)
-            if hooks is not None and forced.size:
-                hooks.on_fault_forced(t, forced)
-            fire[forced] = True
-            next_forced = rf.next_forced_tick(t)
-        v = np.where(fire, net.v_reset, vhat)  # Eq. (3)
-        ids = np.nonzero(fire)[0]
-        if rf is not None and ids.size:
-            # suppressed spikes are "fired but lost": the voltage reset above
-            # stands, but nothing is recorded and nothing propagates
-            sup = rf.suppressed(t, ids)
-            if sup.any():
-                if hooks is not None:
-                    hooks.on_fault_suppressed(t, ids[sup])
-                ids = ids[~sup]
-        if ids.size:
-            register_spikes(ids, t)
-            scatter(ids, t)
-        if voltage_traces is not None:
-            for p in voltage_traces:
-                voltage_traces[p].append(float(v[p]))
-            if hooks is not None:
-                hooks.on_probe(t, probes, v[probes_arr])
-        # stop checks
-        if wd is not None:
-            report = wd.observe(t, ids)
-            if report is not None:
-                if watchdog.raise_on_trip:
-                    raise RunawaySpikesError(report.describe(), report)
-                stop_reason = StopReason.RUNAWAY
-                diagnostic = report
-                continue
-        if term is not None and fired_ever[term]:
-            stop_reason = StopReason.TERMINAL
-        elif watch_mask is not None and watch_remaining == 0:
-            stop_reason = StopReason.WATCH_SET
-        elif (
-            stop_when_quiescent
-            and not has_pacemakers
-            and ids.size == 0
-            and slot_counts.sum() == 0
-            and all(ts <= t for ts in pending_stim_ticks)
-            and next_forced is None
-        ):
-            stop_reason = StopReason.QUIESCENT
-
-    if wd is not None and stop_reason is StopReason.MAX_STEPS:
-        report = wd.non_quiescence(t)
-        if report is not None:
-            if watchdog.raise_on_trip:
-                raise NonQuiescenceError(report.describe(), report)
-            diagnostic = report
-
-    if hooks is not None:
-        hooks.on_stop(t, stop_reason, diagnostic)
-    counter_inc("engine.runs", 1)
-    counter_inc("engine.spikes", int(spike_counts.sum()))
-    counter_inc("engine.ticks", t)
-    voltages = (
-        {p: np.asarray(trace, dtype=np.float64) for p, trace in voltage_traces.items()}
-        if voltage_traces is not None
-        else None
-    )
-    return SimulationResult(
-        first_spike=first_spike,
-        spike_counts=spike_counts,
-        final_tick=t,
-        stop_reason=stop_reason,
-        spike_events=spike_events,
-        voltages=voltages,
-        diagnostic=diagnostic,
-    )
+    return run_every_tick(core, DenseDelivery(core), stop_when_quiescent)

@@ -18,7 +18,8 @@ Restrictions (validated up front):
 * no pacemaker neurons (``v_reset > v_threshold``) — they fire with no
   incoming events, defeating laziness; use the dense engine;
 * semantics otherwise identical to :func:`repro.core.engine.simulate_dense`,
-  which the test suite checks on randomized networks.
+  stop metadata included, which the test suite checks on randomized
+  networks.
 """
 
 from __future__ import annotations
@@ -28,21 +29,93 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.engine import StimulusSpec, _normalize_stimulus
 from repro.core.network import CompiledNetwork, Network
-from repro.core.result import SimulationResult, StopReason
+from repro.core.result import SimulationResult
+from repro.core.stepping import NO_IDS, RunCore, StimulusSpec, run_active_ticks
 from repro.core.transient import FaultModel
-from repro.core.watchdog import Watchdog, WatchdogState
-from repro.errors import (
-    NonQuiescenceError,
-    RunawaySpikesError,
-    UnsupportedNetworkError,
-    ValidationError,
-)
+from repro.core.watchdog import Watchdog
+from repro.errors import UnsupportedNetworkError
 from repro.telemetry.hooks import EngineHooks
-from repro.telemetry.metrics import counter_inc
 
 __all__ = ["simulate_event_driven"]
+
+
+class HeapDelivery:
+    """Delivery backend of the event engine: a heap of single deliveries.
+
+    Heap entries are ``(arrival tick, target, weight)``.  A neuron's voltage
+    is only touched when a delivery reaches it, closing the decay of the
+    quiet ticks since its last update in one step.  Per-neuron state and
+    parameters live in Python lists, since every access is a scalar one.
+    """
+
+    def __init__(self, core: RunCore) -> None:
+        net = core.net
+        self.net = net
+        self.core = core
+        self.heap: List[Tuple[int, int, float]] = []
+        self.v: List[float] = net.v_reset.tolist()
+        self.last_update = [0] * net.n
+        self.v_reset: List[float] = net.v_reset.tolist()
+        self.v_threshold: List[float] = net.v_threshold.tolist()
+        self.decay_keep: List[float] = (1.0 - net.tau).tolist()  # per-tick retention
+        self.one_shot: List[bool] = net.one_shot.tolist()
+        self.indptr: List[int] = net.indptr.tolist()
+        self.syn_delay: List[int] = net.syn_delay.tolist()
+        self.syn_dst: List[int] = net.syn_dst.tolist()
+        self.syn_weight: List[float] = net.syn_weight.tolist()
+
+    def integrate(self, t: int) -> np.ndarray:
+        heap = self.heap
+        # Drain the whole batch at tick t: deliveries to one neuron sum
+        # before the threshold comparison, matching v_syn of Eq. (4).
+        delivered: Dict[int, float] = {}
+        while heap and heap[0][0] == t:
+            _, nid, w = heapq.heappop(heap)
+            delivered[nid] = delivered.get(nid, 0.0) + w
+        v, last_update, fired_ever = self.v, self.last_update, self.core.fired_ever
+        crossed: List[int] = []
+        for nid, syn in delivered.items():
+            dt = t - last_update[nid]
+            keep = self.decay_keep[nid]
+            if dt > 0 and keep != 1.0:
+                reset = self.v_reset[nid]
+                v[nid] = reset + (v[nid] - reset) * keep**dt
+            vhat = v[nid] + syn
+            v[nid] = vhat
+            last_update[nid] = t
+            if vhat > self.v_threshold[nid] and not (self.one_shot[nid] and fired_ever[nid]):
+                crossed.append(nid)
+        if not crossed:
+            return NO_IDS
+        crossed.sort()
+        return np.asarray(crossed, dtype=np.int64)
+
+    def reset(self, ids: np.ndarray, t: int) -> None:
+        for nid in ids.tolist():
+            self.v[nid] = self.v_reset[nid]
+            self.last_update[nid] = t
+
+    def propagate(self, ids: np.ndarray, t: int) -> None:
+        heap, delay, dst = self.heap, self.syn_delay, self.syn_dst
+        core = self.core
+        if core.rf is None:
+            # no fault can mask or reweight a delivery: walk the CSR directly
+            indptr, weight = self.indptr, self.syn_weight
+            scheduled = 0
+            for nid in ids.tolist():
+                lo, hi = indptr[nid], indptr[nid + 1]
+                scheduled += hi - lo
+                for s in range(lo, hi):
+                    heapq.heappush(heap, (t + delay[s], dst[s], weight[s]))
+            core.delivered(t, scheduled)
+            return
+        syn, weights = core.deliveries(t, self.net.gather_out_synapses(ids))
+        for s, w in zip(syn.tolist(), weights.tolist()):
+            heapq.heappush(heap, (t + delay[s], dst[s], w))
+
+    def next_arrival(self) -> Optional[int]:
+        return self.heap[0][0] if self.heap else None
 
 
 def simulate_event_driven(
@@ -52,6 +125,7 @@ def simulate_event_driven(
     max_steps: int,
     terminal: Optional[int] = None,
     watch: Optional[Iterable[int]] = None,
+    stop_when_quiescent: bool = True,
     record_spikes: bool = False,
     faults: Optional[FaultModel] = None,
     watchdog: Optional[Watchdog] = None,
@@ -61,207 +135,30 @@ def simulate_event_driven(
 
     Same parameters and result semantics as
     :func:`repro.core.engine.simulate_dense` (without voltage probes, which
-    are only meaningful per tick).  Transient ``faults`` and the
-    ``watchdog`` guards observe identical semantics to the dense engine;
-    forced fault spikes (spurious / stuck-at-firing) are merged into the
-    event stream in time order, so laziness is preserved between them.
-
-    ``hooks`` observes the same events as in the dense engine; because
-    events are emitted per *active* tick, equivalent runs report identical
-    totals on both engines (asserted by the equivalence tests).
+    are only meaningful per tick), stop metadata included: ``final_tick``
+    and ``stop_reason`` follow the dense engine's tick-by-tick rules.
+    Transient ``faults``, the ``watchdog`` guards and ``hooks`` observe the
+    same semantics as in the dense engine; forced fault spikes are merged
+    into the event stream in time order, so laziness is preserved between
+    them, and because hook events are emitted per *active* tick,
+    equivalent runs report identical totals on every engine.
     """
     net = network.compile() if isinstance(network, Network) else network
-    if max_steps < 0:
-        raise ValidationError(f"max_steps must be >= 0, got {max_steps}")
     if net.has_pacemakers:
         raise UnsupportedNetworkError(
             "network contains pacemaker neurons (v_reset > v_threshold); "
             "use the dense engine"
         )
-    n = net.n
-    term = terminal if terminal is not None else net.terminal
-    watch_mask = None
-    watch_remaining = 0
-    if watch is not None:
-        watch_mask = np.zeros(n, dtype=bool)
-        watch_mask[np.asarray(list(watch), dtype=np.int64)] = True
-        watch_remaining = int(watch_mask.sum())
-
-    stim = _normalize_stimulus(stimulus)
-    for ids in stim.values():
-        if ids.size and (ids.min() < 0 or ids.max() >= n):
-            raise ValidationError("stimulus neuron id out of range")
-
-    v = net.v_reset.copy()
-    last_update = np.zeros(n, dtype=np.int64)
-    fired_ever = np.zeros(n, dtype=bool)
-    first_spike = np.full(n, -1, dtype=np.int64)
-    spike_counts = np.zeros(n, dtype=np.int64)
-    spike_events: Optional[Dict[int, List[int]]] = {} if record_spikes else None
-
-    # Heap of (tick, kind, neuron, weight); kind 0 = induced spike,
-    # kind 1 = synaptic delivery.  Induced spikes sort first at equal ticks
-    # (they fire unconditionally so ordering only affects bookkeeping).
-    heap: List[Tuple[int, int, int, float]] = []
-    for tick, ids in stim.items():
-        for nid in ids:
-            heap.append((tick, 0, int(nid), 0.0))
-    heapq.heapify(heap)
-
-    decay_keep = 1.0 - net.tau  # per-tick retention of excess voltage
-
-    rf = faults.bind(net, max_steps) if faults is not None else None
-    next_forced = rf.next_forced_tick(-1) if rf is not None else None
-    wd = WatchdogState(watchdog, n, net.names) if watchdog is not None else None
-    diagnostic = None
-    if hooks is not None:
-        hooks.on_run_start(n, max_steps, "event")
-
-    def fire(nid: int, t: int) -> Tuple[int, int]:
-        """Record one spike; returns (deliveries scheduled, dropped)."""
-        nonlocal watch_remaining
-        if not fired_ever[nid]:
-            first_spike[nid] = t
-            fired_ever[nid] = True
-            if watch_mask is not None and watch_mask[nid]:
-                watch_remaining -= 1
-        spike_counts[nid] += 1
-        if spike_events is not None:
-            spike_events.setdefault(t, []).append(nid)
-        v[nid] = net.v_reset[nid]
-        last_update[nid] = t
-        lo, hi = net.indptr[nid], net.indptr[nid + 1]
-        if rf is None:
-            for s in range(lo, hi):
-                heapq.heappush(
-                    heap,
-                    (t + int(net.syn_delay[s]), 1, int(net.syn_dst[s]), float(net.syn_weight[s])),
-                )
-            return int(hi - lo), 0
-        # fault decisions hash (seed, emission tick, synapse id), so the
-        # mask here equals the dense engine's scatter mask exactly
-        syn_idx = np.arange(lo, hi, dtype=np.int64)
-        keep = rf.keep_deliveries(t, syn_idx)
-        syn_idx = syn_idx[keep]
-        dropped = int(hi - lo) - int(syn_idx.size)
-        if syn_idx.size == 0:
-            return 0, dropped
-        weights = rf.deliver_weights(t, syn_idx, net.syn_weight[syn_idx])
-        for s, w in zip(syn_idx, weights):
-            heapq.heappush(
-                heap,
-                (t + int(net.syn_delay[s]), 1, int(net.syn_dst[s]), float(w)),
-            )
-        return int(syn_idx.size), dropped
-
-    final_tick = 0
-    stop_reason: Optional[StopReason] = None
-    while stop_reason is None:
-        if not heap and next_forced is None:
-            stop_reason = StopReason.QUIESCENT
-            break
-        # Next tick with activity: earliest of heap events and fault-forced
-        # spikes (spurious / stuck-at-firing), keeping laziness between them.
-        if heap and (next_forced is None or heap[0][0] <= next_forced):
-            t = heap[0][0]
-        else:
-            t = next_forced
-        if t > max_steps:
-            stop_reason = StopReason.MAX_STEPS
-            final_tick = max_steps
-            break
-        final_tick = t
-        # Drain the whole batch at tick t: deliveries to one neuron sum
-        # before the threshold comparison, matching v_syn of Eq. (4).
-        induced: List[int] = []
-        delivered: Dict[int, float] = {}
-        while heap and heap[0][0] == t:
-            _, kind, nid, w = heapq.heappop(heap)
-            if kind == 0:
-                induced.append(nid)
-            else:
-                delivered[nid] = delivered.get(nid, 0.0) + w
-        if next_forced == t:
-            forced = rf.forced_at(t)
-            if hooks is not None and forced.size:
-                hooks.on_fault_forced(t, forced)
-            induced.extend(int(i) for i in forced)
-            next_forced = rf.next_forced_tick(t)
-        fired_now: List[int] = []
-        for nid, syn in delivered.items():
-            dt = t - last_update[nid]
-            keep = decay_keep[nid]
-            if dt > 0 and keep != 1.0:
-                excess = v[nid] - net.v_reset[nid]
-                v[nid] = net.v_reset[nid] + excess * (keep**dt)
-            vhat = v[nid] + syn
-            last_update[nid] = t
-            if vhat > net.v_threshold[nid] and not (net.one_shot[nid] and fired_ever[nid]):
-                fired_now.append(nid)
-            else:
-                v[nid] = vhat
-        for nid in set(induced):
-            if nid not in fired_now:
-                fired_now.append(nid)
-        if rf is not None and fired_now:
-            arr = np.asarray(fired_now, dtype=np.int64)
-            sup = rf.suppressed(t, arr)
-            if sup.any():
-                # suppressed spikes are "fired but lost": voltage resets as if
-                # fired, but nothing is recorded and nothing propagates
-                if hooks is not None:
-                    hooks.on_fault_suppressed(t, np.sort(arr[sup]))
-                for nid, s in zip(fired_now, sup):
-                    if s:
-                        v[nid] = net.v_reset[nid]
-                        last_update[nid] = t
-                fired_now = [nid for nid, s in zip(fired_now, sup) if not s]
-        scheduled_t = dropped_t = 0
-        for nid in fired_now:
-            s, d = fire(nid, t)
-            scheduled_t += s
-            dropped_t += d
-        if hooks is not None:
-            if fired_now:
-                hooks.on_spikes(t, np.asarray(sorted(fired_now), dtype=np.int64))
-            if scheduled_t or dropped_t:
-                hooks.on_deliveries(t, scheduled_t, dropped_t)
-        # stop checks after the full batch at tick t
-        if wd is not None:
-            report = wd.observe(t, np.asarray(fired_now, dtype=np.int64))
-            if report is not None:
-                if watchdog.raise_on_trip:
-                    raise RunawaySpikesError(report.describe(), report)
-                stop_reason = StopReason.RUNAWAY
-                diagnostic = report
-                continue
-        if term is not None and fired_ever[term]:
-            stop_reason = StopReason.TERMINAL
-        elif watch_mask is not None and watch_remaining == 0:
-            stop_reason = StopReason.WATCH_SET
-
-    if wd is not None and stop_reason is StopReason.MAX_STEPS:
-        report = wd.non_quiescence(final_tick)
-        if report is not None:
-            if watchdog.raise_on_trip:
-                raise NonQuiescenceError(report.describe(), report)
-            diagnostic = report
-
-    if hooks is not None:
-        hooks.on_stop(int(final_tick), stop_reason, diagnostic)
-    counter_inc("engine.runs", 1)
-    counter_inc("engine.spikes", int(spike_counts.sum()))
-    counter_inc("engine.ticks", int(final_tick))
-    events = None
-    if spike_events is not None:
-        events = {
-            t: np.asarray(sorted(ids), dtype=np.int64) for t, ids in spike_events.items()
-        }
-    return SimulationResult(
-        first_spike=first_spike,
-        spike_counts=spike_counts,
-        final_tick=int(final_tick),
-        stop_reason=stop_reason,
-        spike_events=events,
-        diagnostic=diagnostic,
+    core = RunCore(
+        net,
+        stimulus,
+        engine="event",
+        max_steps=max_steps,
+        terminal=terminal,
+        watch=watch,
+        record_spikes=record_spikes,
+        faults=faults,
+        watchdog=watchdog,
+        hooks=hooks,
     )
+    return run_active_ticks(core, HeapDelivery(core), stop_when_quiescent)

@@ -6,11 +6,12 @@ import warnings
 from typing import Iterable, List, Optional, Sequence, Union
 
 from repro.core.batch import FaultsSpec, HooksSpec, _per_item, simulate_dense_batch
-from repro.core.engine import StimulusSpec, simulate_dense
+from repro.core.engine import simulate_dense
 from repro.core.event_engine import simulate_event_driven
 from repro.core.network import CompiledNetwork, Network
 from repro.core.result import SimulationResult
 from repro.core.sparse import prefers_sparse, simulate_sparse
+from repro.core.stepping import StimulusSpec
 from repro.core.transient import FaultModel
 from repro.core.watchdog import Watchdog
 from repro.errors import ValidationError
@@ -106,46 +107,22 @@ def simulate(
             engine = _auto_long_delay_engine(net, batched=False)
         else:
             engine = "dense"
-    if engine == "dense":
-        return simulate_dense(
-            net,
-            stimulus,
-            max_steps=max_steps,
-            terminal=terminal,
-            watch=watch,
-            stop_when_quiescent=stop_when_quiescent,
-            record_spikes=record_spikes,
-            probe_voltages=probe_voltages,
-            faults=faults,
-            watchdog=watchdog,
-            hooks=hooks,
-        )
-    if probe_voltages is not None:
-        raise ValidationError("voltage probes require the dense engine")
-    if engine == "sparse":
-        return simulate_sparse(
-            net,
-            stimulus,
-            max_steps=max_steps,
-            terminal=terminal,
-            watch=watch,
-            stop_when_quiescent=stop_when_quiescent,
-            record_spikes=record_spikes,
-            faults=faults,
-            watchdog=watchdog,
-            hooks=hooks,
-        )
-    return simulate_event_driven(
-        net,
-        stimulus,
+    kw = dict(
         max_steps=max_steps,
         terminal=terminal,
         watch=watch,
+        stop_when_quiescent=stop_when_quiescent,
         record_spikes=record_spikes,
         faults=faults,
         watchdog=watchdog,
         hooks=hooks,
     )
+    if engine == "dense":
+        return simulate_dense(net, stimulus, probe_voltages=probe_voltages, **kw)
+    if probe_voltages is not None:
+        raise ValidationError("voltage probes require the dense engine")
+    run = simulate_sparse if engine == "sparse" else simulate_event_driven
+    return run(net, stimulus, **kw)
 
 
 def simulate_batch(
@@ -188,69 +165,32 @@ def simulate_batch(
     fault_list = _per_item(faults, B, FaultModel, "faults")
     hook_list = _per_item(hooks, B, EngineHooks, "hooks")
 
-    if watchdog is not None or probe_voltages is not None:
-        # per-item fallback: the batched dense engine carries no watchdog
-        # state or probe traces
-        return [
-            simulate(
-                net,
-                stimuli[b],
-                max_steps=max_steps,
-                terminal=terminal,
-                watch=watch,
-                stop_when_quiescent=stop_when_quiescent,
-                record_spikes=record_spikes,
-                probe_voltages=probe_voltages,
-                faults=fault_list[b],
-                watchdog=watchdog,
-                hooks=hook_list[b],
-                engine=engine,
-            )
-            for b in range(B)
-        ]
-
-    if engine == "auto":
+    kw = dict(
+        max_steps=max_steps,
+        terminal=terminal,
+        watch=watch,
+        stop_when_quiescent=stop_when_quiescent,
+        record_spikes=record_spikes,
+    )
+    # the batched dense engine carries no watchdog state or probe traces
+    batchable = watchdog is None and probe_voltages is None
+    if engine == "auto" and batchable:
         if net.max_delay > _EVENT_DELAY_CUTOFF:
             engine = _auto_long_delay_engine(net, batched=True)
         else:
             engine = "dense"
-    if engine == "dense":
-        return simulate_dense_batch(
-            net,
-            stimuli,
-            max_steps=max_steps,
-            terminal=terminal,
-            watch=watch,
-            stop_when_quiescent=stop_when_quiescent,
-            record_spikes=record_spikes,
-            faults=fault_list,
-            hooks=hook_list,
-        )
-    if engine == "sparse":
-        return [
-            simulate_sparse(
-                net,
-                stimuli[b],
-                max_steps=max_steps,
-                terminal=terminal,
-                watch=watch,
-                stop_when_quiescent=stop_when_quiescent,
-                record_spikes=record_spikes,
-                faults=fault_list[b],
-                hooks=hook_list[b],
-            )
-            for b in range(B)
-        ]
+    if batchable and engine == "dense":
+        return simulate_dense_batch(net, stimuli, faults=fault_list, hooks=hook_list, **kw)
     return [
-        simulate_event_driven(
+        simulate(
             net,
             stimuli[b],
-            max_steps=max_steps,
-            terminal=terminal,
-            watch=watch,
-            record_spikes=record_spikes,
+            probe_voltages=probe_voltages,
             faults=fault_list[b],
+            watchdog=watchdog,
             hooks=hook_list[b],
+            engine=engine,
+            **kw,
         )
         for b in range(B)
     ]

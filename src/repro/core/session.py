@@ -13,14 +13,17 @@ same stimulus through both and compares spike trains tick for tick.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from dataclasses import replace
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
+from repro.core.engine import DenseDelivery
 from repro.core.network import CompiledNetwork, Network
+from repro.core.stepping import NO_IDS, RunCore
 from repro.core.transient import FaultModel
-from repro.core.watchdog import Watchdog, WatchdogState
-from repro.errors import RunawaySpikesError, SimulationError, ValidationError
+from repro.core.watchdog import Watchdog
+from repro.errors import SimulationError, ValidationError
 from repro.telemetry.hooks import EngineHooks
 
 __all__ = ["DenseSession"]
@@ -37,9 +40,9 @@ class DenseSession:
 
     ``faults`` injects per-tick transient faults with the same semantics as
     the batch engines (``fault_horizon`` bounds the ticks fault schedules are
-    generated for).  A ``watchdog`` always *raises*
-    :class:`~repro.errors.RunawaySpikesError` on a runaway spike rate —
-    a session has no result object to carry a diagnostic stop reason.
+    generated for).  A ``watchdog`` always *raises* on a runaway spike
+    rate (as with ``raise_on_trip``) — a session has no result object to
+    carry a diagnostic stop reason.
     ``hooks`` observes per-tick events with the same semantics as the batch
     engines (no stop event: a session never stops by itself).
     """
@@ -54,29 +57,28 @@ class DenseSession:
         hooks: Optional[EngineHooks] = None,
     ):
         self.net = network.compile() if isinstance(network, Network) else network
-        n = self.net.n
-        self._n_slots = self.net.max_delay + 1
-        self._buf = np.zeros((self._n_slots, n), dtype=np.float64)
-        self.voltages = self.net.v_reset.copy()
-        self.fired_ever = np.zeros(n, dtype=bool)
-        self.first_spike = np.full(n, -1, dtype=np.int64)
-        self.spike_counts = np.zeros(n, dtype=np.int64)
+        self._core = RunCore(
+            self.net,
+            None,
+            engine="session",
+            max_steps=fault_horizon,
+            faults=faults,
+            watchdog=replace(watchdog, raise_on_trip=True) if watchdog is not None else None,
+            hooks=hooks,
+        )
+        self._delivery = DenseDelivery(self._core)
+        self.fired_ever = self._core.fired_ever
+        self.first_spike = self._core.first_spike
+        self.spike_counts = self._core.spike_counts
         self.tick = -1  # step() advances to 0 first (the stimulus tick)
-        self._pending_inject: List[int] = []
-        self._fired_last: np.ndarray = np.empty(0, dtype=np.int64)
-        self._any_one_shot = bool(self.net.one_shot.any())
-        self._rf = faults.bind(self.net, fault_horizon) if faults is not None else None
-        self._next_forced = (
-            self._rf.next_forced_tick(-1) if self._rf is not None else None
-        )
-        self._wd = (
-            WatchdogState(watchdog, n, self.net.names) if watchdog is not None else None
-        )
-        self._hooks = hooks
-        if hooks is not None:
-            hooks.on_run_start(n, fault_horizon, "session")
+        self._fired_last: np.ndarray = NO_IDS
 
     # ------------------------------------------------------------------ #
+
+    @property
+    def voltages(self) -> np.ndarray:
+        """Membrane voltages after the most recent tick."""
+        return self._delivery.v
 
     @property
     def fired_last(self) -> np.ndarray:
@@ -85,91 +87,18 @@ class DenseSession:
 
     def inject(self, ids: Iterable[int]) -> None:
         """Queue induced spikes for the next processed tick."""
-        for nid in ids:
-            nid = int(nid)
-            if not (0 <= nid < self.net.n):
-                raise ValidationError(f"neuron {nid} out of range")
-            self._pending_inject.append(nid)
-
-    def _scatter(self, ids: np.ndarray, t: int) -> None:
-        syn_idx = self.net.gather_out_synapses(ids)
-        if syn_idx.size == 0:
-            return
-        weights = self.net.syn_weight[syn_idx]
-        dropped = 0
-        if self._rf is not None:
-            keep = self._rf.keep_deliveries(t, syn_idx)
-            if not keep.all():
-                dropped = int(syn_idx.size - keep.sum())
-                syn_idx = syn_idx[keep]
-                weights = weights[keep]
-            if syn_idx.size:
-                weights = self._rf.deliver_weights(t, syn_idx, weights)
-        if self._hooks is not None:
-            self._hooks.on_deliveries(t, int(syn_idx.size), dropped)
-        if syn_idx.size == 0:
-            return
-        slots = (t + self.net.syn_delay[syn_idx]) % self._n_slots
-        flat = slots * self.net.n + self.net.syn_dst[syn_idx]
-        np.add.at(self._buf.reshape(-1), flat, weights)
+        self._core.stimulate(self.tick + 1, ids)
 
     def step(self, ticks: int = 1) -> np.ndarray:
         """Advance the simulation; returns the ids fired on the last tick."""
         if ticks < 1:
             raise ValidationError(f"ticks must be >= 1, got {ticks}")
-        net = self.net
+        core = self._core
         for _ in range(ticks):
             self.tick += 1
-            t = self.tick
-            injected = np.asarray(sorted(set(self._pending_inject)), dtype=np.int64)
-            self._pending_inject.clear()
-            if t == 0:
-                # tick 0 carries only induced spikes (Definition 3 start)
-                fire = np.zeros(net.n, dtype=bool)
-                fire[injected] = True
-                vhat = self.voltages
-            else:
-                slot = t % self._n_slots
-                syn = self._buf[slot]
-                vhat = (
-                    self.voltages
-                    + (net.v_reset - self.voltages) * net.tau
-                    + syn
-                )
-                syn[:] = 0.0
-                fire = vhat > net.v_threshold
-                if self._any_one_shot:
-                    fire &= ~(net.one_shot & self.fired_ever)
-                fire[injected] = True
-            if self._next_forced == t:
-                forced = self._rf.forced_at(t)
-                if self._hooks is not None and forced.size:
-                    self._hooks.on_fault_forced(t, forced)
-                fire[forced] = True
-                self._next_forced = self._rf.next_forced_tick(t)
-            self.voltages = np.where(fire, net.v_reset, vhat)
-            ids = np.nonzero(fire)[0]
-            if self._rf is not None and ids.size:
-                # suppressed spikes are "fired but lost": the voltage reset
-                # above stands, but nothing is recorded and nothing propagates
-                sup = self._rf.suppressed(t, ids)
-                if sup.any():
-                    if self._hooks is not None:
-                        self._hooks.on_fault_suppressed(t, ids[sup])
-                    ids = ids[~sup]
-            newly = ids[~self.fired_ever[ids]]
-            self.first_spike[newly] = t
-            self.fired_ever[ids] = True
-            self.spike_counts[ids] += 1
-            self._fired_last = ids
-            if self._hooks is not None and ids.size:
-                self._hooks.on_spikes(t, ids)
-            if ids.size:
-                self._scatter(ids, t)
-            if self._wd is not None:
-                report = self._wd.observe(t, ids)
-                if report is not None:
-                    raise RunawaySpikesError(report.describe(), report)
+            self._fired_last = core.step(self.tick, self._delivery)
+            if core.wd is not None:
+                core.runaway(self.tick, self._fired_last)  # raises on a trip
         return self._fired_last
 
     def run_until(self, predicate, *, max_ticks: int = 1_000_000) -> int:

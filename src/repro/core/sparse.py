@@ -25,41 +25,36 @@ Run time (:func:`simulate_sparse`): a ring buffer of ``max_delay + 1``
 chunk lists holds in-flight deliveries as ``(dst, weight)`` array pairs; a
 heap of arrival ticks plus the stimulus / forced-fault schedules yields the
 next *active* tick, and everything between active ticks is closed
-analytically (voltage decay, quiescence detection).  Peak memory is
+analytically (voltage decay here, quiescence by the run core's active-tick
+policy in :mod:`repro.core.stepping`).  Peak memory is
 ``O(n + m + in-flight deliveries)`` — no ``(max_delay + 1, n)`` buffer and
 never a dense ``(n, n)`` matrix, which is what lets SSSP networks reach
 ``n = 10^5`` (see ``docs/sparse_engine.md`` and the memory-regression
 test).
 
 Semantics are identical to :func:`repro.core.engine.simulate_dense` —
-spike-for-spike, including stop metadata (``final_tick`` / ``stop_reason``
-follow the dense engine's tick-by-tick rules, unlike the event engine's
-last-event convention), fault realizations, and hook totals — up to the
-same fractional-``tau`` float-associativity caveat as the event engine.
-Restrictions: no pacemaker neurons and no voltage probes.
+spike-for-spike, including stop metadata, fault realizations, and hook
+totals — up to the same fractional-``tau`` float-associativity caveat as
+the event engine.  Restrictions: no pacemaker neurons and no voltage
+probes.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core.cache import BuildCache
-from repro.core.engine import StimulusSpec, _normalize_stimulus
 from repro.core.network import CompiledNetwork, Network
-from repro.core.result import SimulationResult, StopReason
+from repro.core.result import SimulationResult
+from repro.core.stepping import NO_IDS, RunCore, StimulusSpec, run_active_ticks
 from repro.core.transient import FaultModel
-from repro.core.watchdog import Watchdog, WatchdogState
-from repro.errors import (
-    NonQuiescenceError,
-    RunawaySpikesError,
-    UnsupportedNetworkError,
-    ValidationError,
-)
+from repro.core.watchdog import Watchdog
+from repro.errors import UnsupportedNetworkError
 from repro.telemetry.hooks import EngineHooks
 from repro.telemetry.metrics import counter_inc
 
@@ -261,6 +256,123 @@ def repatch_sparse(old_net: CompiledNetwork, new_net: CompiledNetwork) -> bool:
     return True
 
 
+class CsrDelivery:
+    """Delivery backend of the sparse core: delay-bucketed CSR scatter.
+
+    A ring of ``max_delay + 1`` chunk lists holds in-flight deliveries as
+    ``(dst, weight)`` array pairs.  Every delay is in ``[1, max_delay]``, so
+    at any moment a slot holds chunks for at most one arrival tick, and a
+    heap names the non-empty slots' ticks.
+    """
+
+    def __init__(self, core: RunCore, art: SparseCompiledNetwork) -> None:
+        net = core.net
+        self.net = net
+        self.core = core
+        self.delays = art.delays
+        self.syn_bucket = art.syn_bucket
+        self.n_slots = net.max_delay + 1
+        self.pending: List[List[Tuple[np.ndarray, np.ndarray]]] = [
+            [] for _ in range(self.n_slots)
+        ]
+        self.arrival_heap: List[int] = []
+        self.acc = np.zeros(net.n, dtype=np.float64)
+        self.v = net.v_reset.copy()
+        self.last_update = np.zeros(net.n, dtype=np.int64)
+        self.decay_keep = 1.0 - net.tau
+        self.has_decay = net.has_decay
+        self.any_one_shot = bool(net.one_shot.any())
+
+    def integrate(self, t: int) -> np.ndarray:
+        """Consume tick ``t``'s deliveries and evaluate thresholds."""
+        slot = t % self.n_slots
+        chunks = self.pending[slot]
+        if not chunks:
+            return NO_IDS
+        heapq.heappop(self.arrival_heap)
+        self.pending[slot] = []
+        if len(chunks) == 1:
+            dst_all, w_all = chunks[0]
+        else:
+            dst_all = np.concatenate([c[0] for c in chunks])
+            w_all = np.concatenate([c[1] for c in chunks])
+        acc, v, net = self.acc, self.v, self.net
+        np.add.at(acc, dst_all, w_all)
+        if dst_all.size > 1:
+            ds = np.sort(dst_all)
+            umask = np.empty(ds.size, dtype=bool)
+            umask[0] = True
+            np.not_equal(ds[1:], ds[:-1], out=umask[1:])
+            arrived = ds[umask]
+        else:
+            arrived = dst_all
+        syn_in = acc[arrived]
+        acc[arrived] = 0.0
+        if self.has_decay:
+            dt = t - self.last_update[arrived]
+            keep = self.decay_keep[arrived]
+            decayable = (dt > 0) & (keep != 1.0)
+            if decayable.any():
+                reset_a = net.v_reset[arrived]
+                va = v[arrived]
+                v[arrived] = np.where(decayable, reset_a + (va - reset_a) * keep**dt, va)
+        vhat = v[arrived] + syn_in
+        fire_m = vhat > net.v_threshold[arrived]
+        if self.any_one_shot:
+            fire_m &= ~(net.one_shot[arrived] & self.core.fired_ever[arrived])
+        v[arrived] = vhat
+        self.last_update[arrived] = t
+        crossed: np.ndarray = arrived[fire_m]
+        return crossed
+
+    def reset(self, ids: np.ndarray, t: int) -> None:
+        self.v[ids] = self.net.v_reset[ids]
+        self.last_update[ids] = t
+
+    def propagate(self, ids: np.ndarray, t: int) -> None:
+        """Schedule all out-deliveries of ``ids`` (sorted asc) fired at ``t``.
+
+        Gathers the fired set's out-synapses in the dense engine's
+        (source asc, CSR position asc) order, then stable-sorts them by
+        compile-time bucket label — a radix sort over small integers — so
+        each delay group comes out in exactly the order the dense engine's
+        ``np.add.at`` scatter visits same-delay synapses in.
+        """
+        net = self.net
+        gsyn, w = self.core.deliveries(t, net.gather_out_synapses(ids))
+        if gsyn.size == 0:
+            return
+        gb = self.syn_bucket[gsyn]
+        if gsyn.size > 1:
+            order = np.argsort(gb, kind="stable")
+            gsyn = gsyn[order]
+            gb = gb[order]
+            w = w[order]
+        dst = net.syn_dst[gsyn]
+        cuts = np.flatnonzero(gb[1:] != gb[:-1]) + 1
+        gstarts = np.concatenate((_ZERO1, cuts))
+        arrives = self.delays[gb[gstarts]] + t
+        # tolist() converts once in C; per-group int() calls would dominate
+        # when a tick's deliveries span many distinct delays
+        bounds_l = np.append(gstarts, gb.size).tolist()
+        arrives_l = arrives.tolist()
+        slots_l = (arrives % self.n_slots).tolist()
+        pending = self.pending
+        lo = bounds_l[0]
+        for j, hi in enumerate(bounds_l[1:]):
+            slot = slots_l[j]
+            if not pending[slot]:
+                heapq.heappush(self.arrival_heap, arrives_l[j])
+            pending[slot].append((dst[lo:hi], w[lo:hi]))
+            lo = hi
+
+    def next_arrival(self) -> Optional[int]:
+        return self.arrival_heap[0] if self.arrival_heap else None
+
+
+_ZERO1 = np.zeros(1, dtype=np.int64)
+
+
 def simulate_sparse(
     network: Union[Network, CompiledNetwork],
     stimulus: Optional[StimulusSpec] = None,
@@ -278,309 +390,30 @@ def simulate_sparse(
 
     Same parameters and result semantics as
     :func:`repro.core.engine.simulate_dense` (without voltage probes, which
-    require per-tick state).  Unlike the event engine, stop metadata —
-    ``final_tick`` and ``stop_reason``, including ``stop_when_quiescent=
-    False`` running out the tick budget — follows the dense engine's rules
-    exactly, so results compare equal field-for-field.
+    require per-tick state), stop metadata included, so results compare
+    equal field-for-field.
 
     Restrictions (validated up front): no pacemaker neurons
     (``v_reset > v_threshold``) — they fire without incoming events,
     defeating activity-driven laziness; use the dense engine.
     """
     net = network.compile() if isinstance(network, Network) else network
-    if max_steps < 0:
-        raise ValidationError(f"max_steps must be >= 0, got {max_steps}")
     if net.has_pacemakers:
         raise UnsupportedNetworkError(
             "network contains pacemaker neurons (v_reset > v_threshold); "
             "use the dense engine"
         )
     art = sparse_compile(net)
-    n = net.n
-    term = terminal if terminal is not None else net.terminal
-    watch_mask = None
-    watch_remaining = 0
-    if watch is not None:
-        watch_mask = np.zeros(n, dtype=bool)
-        watch_mask[np.asarray(list(watch), dtype=np.int64)] = True
-        watch_remaining = int(watch_mask.sum())
-
-    stim = _normalize_stimulus(stimulus)
-    for sids in stim.values():
-        if sids.size and (sids.min() < 0 or sids.max() >= n):
-            raise ValidationError("stimulus neuron id out of range")
-    stim_later = sorted(ts for ts in stim if ts >= 1)
-    stim_pos = 0
-
-    D = net.max_delay
-    n_slots = D + 1
-    # ring buffer of in-flight deliveries: one chunk list per arrival slot;
-    # every delay is in [1, D], so at any moment a slot holds chunks for at
-    # most one arrival tick, and the heap names the non-empty slots' ticks
-    pending: List[List[Tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(n_slots)]
-    arrival_heap: List[int] = []
-    acc = np.zeros(n, dtype=np.float64)
-
-    v = net.v_reset.copy()
-    last_update = np.zeros(n, dtype=np.int64)
-    fired_ever = np.zeros(n, dtype=bool)
-    first_spike = np.full(n, -1, dtype=np.int64)
-    spike_counts = np.zeros(n, dtype=np.int64)
-    any_one_shot = bool(net.one_shot.any())
-    decay_keep = 1.0 - net.tau
-    has_decay = net.has_decay
-    spike_events: Optional[Dict[int, np.ndarray]] = {} if record_spikes else None
-    empty_ids = np.empty(0, dtype=np.int64)
-
-    rf = faults.bind(net, max_steps) if faults is not None else None
-    next_forced = rf.next_forced_tick(-1) if rf is not None else None
-    wd = WatchdogState(watchdog, n, net.names) if watchdog is not None else None
-    diagnostic: Optional[object] = None
-    if hooks is not None:
-        hooks.on_run_start(n, max_steps, "sparse")
-
-    def register_spikes(ids: np.ndarray, t: int) -> None:
-        nonlocal watch_remaining
-        newly = ids[~fired_ever[ids]]
-        first_spike[newly] = t
-        if watch_mask is not None and newly.size:
-            watch_remaining -= int(watch_mask[newly].sum())
-        fired_ever[ids] = True
-        spike_counts[ids] += 1
-        if spike_events is not None and ids.size:
-            spike_events[t] = ids.copy()
-        if hooks is not None and ids.size:
-            hooks.on_spikes(t, ids)
-
-    # hot-loop locals: one attribute lookup per run, not per tick
-    delays_arr = art.delays
-    syn_bucket = art.syn_bucket
-    syn_dst = net.syn_dst
-    syn_weight = net.syn_weight
-    gather_out = net.gather_out_synapses
-    zero1 = np.zeros(1, dtype=np.int64)
-
-    def scatter(ids: np.ndarray, t: int) -> None:
-        """Schedule all out-deliveries of ``ids`` (sorted asc) fired at ``t``.
-
-        Gathers the fired set's out-synapses in the dense engine's
-        (source asc, CSR position asc) order, then stable-sorts them by
-        compile-time bucket label — a radix sort over small integers — so
-        each delay group comes out in exactly the order the dense engine's
-        ``np.add.at`` scatter visits same-delay synapses in.
-        """
-        gsyn = gather_out(ids)
-        if gsyn.size == 0:
-            return
-        gb = syn_bucket[gsyn]
-        if gsyn.size > 1:
-            order = np.argsort(gb, kind="stable")
-            gsyn = gsyn[order]
-            gb = gb[order]
-        dst = syn_dst[gsyn]
-        w = syn_weight[gsyn]
-        dropped = 0
-        if rf is not None:
-            # one call over the whole tick, like the dense engine's scatter;
-            # decisions hash global synapse ids, so order is irrelevant
-            keep = rf.keep_deliveries(t, gsyn)
-            if not keep.all():
-                dropped = int(gsyn.size - keep.sum())
-                gsyn = gsyn[keep]
-                dst = dst[keep]
-                w = w[keep]
-                gb = gb[keep]
-            if gsyn.size:
-                w = rf.deliver_weights(t, gsyn, w)
-        if hooks is not None:
-            hooks.on_deliveries(t, int(dst.size), dropped)
-        if dst.size == 0:
-            return
-        cuts = np.flatnonzero(gb[1:] != gb[:-1]) + 1
-        gstarts = np.concatenate((zero1, cuts))
-        arrives = delays_arr[gb[gstarts]] + t
-        # tolist() converts once in C; per-group int() calls would dominate
-        # when a tick's deliveries span many distinct delays
-        bounds_l = np.append(gstarts, gb.size).tolist()
-        arrives_l = arrives.tolist()
-        slots_l = (arrives % n_slots).tolist()
-        lo = bounds_l[0]
-        for j, hi in enumerate(bounds_l[1:]):
-            slot = slots_l[j]
-            if not pending[slot]:
-                heapq.heappush(arrival_heap, arrives_l[j])
-            pending[slot].append((dst[lo:hi], w[lo:hi]))
-            lo = hi
-
-    # ---- tick 0: induced input spikes ---------------------------------- #
-    ids0 = stim.get(0, empty_ids)
-    if rf is not None and next_forced == 0:
-        forced0 = rf.forced_at(0)
-        if hooks is not None and forced0.size:
-            hooks.on_fault_forced(0, forced0)
-        ids0 = np.union1d(ids0, forced0)
-        next_forced = rf.next_forced_tick(0)
-    if rf is not None and ids0.size:
-        sup0 = rf.suppressed(0, ids0)
-        if sup0.any():
-            if hooks is not None:
-                hooks.on_fault_suppressed(0, ids0[sup0])
-            ids0 = ids0[~sup0]
-    if ids0.size:
-        register_spikes(ids0, 0)
-        scatter(ids0, 0)
-    final_tick = 0
-    stop_reason: Optional[StopReason] = None
-    if wd is not None:
-        assert watchdog is not None
-        report = wd.observe(0, ids0)
-        if report is not None:
-            if watchdog.raise_on_trip:
-                raise RunawaySpikesError(report.describe(), report)
-            stop_reason = StopReason.RUNAWAY
-            diagnostic = report
-    if stop_reason is not None:
-        pass
-    elif term is not None and ids0.size and fired_ever[term]:
-        stop_reason = StopReason.TERMINAL
-    elif watch_mask is not None and watch_remaining == 0:
-        stop_reason = StopReason.WATCH_SET
-
-    # first tick at which the dense engine could observe quiescence: it
-    # checks at every processed tick, so after activity at tick T the
-    # earliest quiet tick is T + 1 (and tick 1 when nothing ever fires)
-    quiesce_at = 1
-
-    # ---- main loop: jump from active tick to active tick ---------------- #
-    while stop_reason is None:
-        t_next: Optional[int] = arrival_heap[0] if arrival_heap else None
-        if stim_pos < len(stim_later):
-            ts = stim_later[stim_pos]
-            t_next = ts if t_next is None else min(t_next, ts)
-        if next_forced is not None:
-            t_next = next_forced if t_next is None else min(t_next, next_forced)
-        if t_next is None:
-            # nothing is in flight and nothing is scheduled: the dense
-            # engine would tick quietly from here on
-            if not stop_when_quiescent or quiesce_at > max_steps:
-                stop_reason = StopReason.MAX_STEPS
-                final_tick = max_steps
-            else:
-                stop_reason = StopReason.QUIESCENT
-                final_tick = quiesce_at
-            break
-        if t_next > max_steps:
-            stop_reason = StopReason.MAX_STEPS
-            final_tick = max_steps
-            break
-        t = t_next
-        final_tick = t
-        if arrival_heap and arrival_heap[0] == t:
-            heapq.heappop(arrival_heap)
-
-        # consume this tick's deliveries and evaluate thresholds
-        fired_input = empty_ids
-        slot = t % n_slots
-        chunks = pending[slot]
-        if chunks:
-            pending[slot] = []
-            if len(chunks) == 1:
-                dst_all, w_all = chunks[0]
-            else:
-                dst_all = np.concatenate([c[0] for c in chunks])
-                w_all = np.concatenate([c[1] for c in chunks])
-            np.add.at(acc, dst_all, w_all)
-            if dst_all.size > 1:
-                ds = np.sort(dst_all)
-                umask = np.empty(ds.size, dtype=bool)
-                umask[0] = True
-                np.not_equal(ds[1:], ds[:-1], out=umask[1:])
-                arrived = ds[umask]
-            else:
-                arrived = dst_all
-            syn_in = acc[arrived]
-            acc[arrived] = 0.0
-            if has_decay:
-                dt = t - last_update[arrived]
-                keep = decay_keep[arrived]
-                decayable = (dt > 0) & (keep != 1.0)
-                if decayable.any():
-                    reset_a = net.v_reset[arrived]
-                    va = v[arrived]
-                    v[arrived] = np.where(
-                        decayable, reset_a + (va - reset_a) * keep**dt, va
-                    )
-            vhat = v[arrived] + syn_in
-            fire_m = vhat > net.v_threshold[arrived]
-            if any_one_shot:
-                fire_m &= ~(net.one_shot[arrived] & fired_ever[arrived])
-            fired_input = arrived[fire_m]
-            v[arrived] = np.where(fire_m, net.v_reset[arrived], vhat)
-            last_update[arrived] = t
-
-        # induced spikes this tick fire unconditionally
-        ids = fired_input
-        if stim_pos < len(stim_later) and stim_later[stim_pos] == t:
-            ids_stim = stim[t]
-            stim_pos += 1
-            if ids_stim.size:
-                ids = np.union1d(ids, ids_stim)
-        if rf is not None and next_forced == t:
-            forced = rf.forced_at(t)
-            if hooks is not None and forced.size:
-                hooks.on_fault_forced(t, forced)
-            if forced.size:
-                ids = np.union1d(ids, forced)
-            next_forced = rf.next_forced_tick(t)
-        if ids.size:
-            v[ids] = net.v_reset[ids]
-            last_update[ids] = t
-        if rf is not None and ids.size:
-            # suppressed spikes are "fired but lost": the voltage reset
-            # stands, but nothing is recorded and nothing propagates
-            sup = rf.suppressed(t, ids)
-            if sup.any():
-                if hooks is not None:
-                    hooks.on_fault_suppressed(t, ids[sup])
-                ids = ids[~sup]
-        if ids.size:
-            register_spikes(ids, t)
-            scatter(ids, t)
-        quiesce_at = t + 1 if ids.size else t
-
-        # stop checks, in the dense engine's order
-        if wd is not None:
-            assert watchdog is not None
-            report = wd.observe(t, ids)
-            if report is not None:
-                if watchdog.raise_on_trip:
-                    raise RunawaySpikesError(report.describe(), report)
-                stop_reason = StopReason.RUNAWAY
-                diagnostic = report
-                continue
-        if term is not None and fired_ever[term]:
-            stop_reason = StopReason.TERMINAL
-        elif watch_mask is not None and watch_remaining == 0:
-            stop_reason = StopReason.WATCH_SET
-
-    if wd is not None and stop_reason is StopReason.MAX_STEPS:
-        assert watchdog is not None
-        report = wd.non_quiescence(final_tick)
-        if report is not None:
-            if watchdog.raise_on_trip:
-                raise NonQuiescenceError(report.describe(), report)
-            diagnostic = report
-
-    if hooks is not None:
-        hooks.on_stop(int(final_tick), stop_reason, diagnostic)
-    counter_inc("engine.runs", 1)
-    counter_inc("engine.spikes", int(spike_counts.sum()))
-    counter_inc("engine.ticks", int(final_tick))
-    return SimulationResult(
-        first_spike=first_spike,
-        spike_counts=spike_counts,
-        final_tick=int(final_tick),
-        stop_reason=stop_reason,
-        spike_events=spike_events,
-        diagnostic=diagnostic,
+    core = RunCore(
+        net,
+        stimulus,
+        engine="sparse",
+        max_steps=max_steps,
+        terminal=terminal,
+        watch=watch,
+        record_spikes=record_spikes,
+        faults=faults,
+        watchdog=watchdog,
+        hooks=hooks,
     )
+    return run_active_ticks(core, CsrDelivery(core, art), stop_when_quiescent)

@@ -6,9 +6,10 @@ neurons babble or fall silent for stretches of time, analog weights drift as
 the run proceeds.  This module models those transient faults as values the
 engines consult while simulating, with identical semantics across
 :func:`~repro.core.engine.simulate_dense`,
-:func:`~repro.core.event_engine.simulate_event_driven`, and
-:class:`~repro.core.session.DenseSession` (enforced by the
-engine-equivalence tests).
+:func:`~repro.core.event_engine.simulate_event_driven`,
+:func:`~repro.core.sparse.simulate_sparse`, the batched dense engine and
+:class:`~repro.core.session.DenseSession` (enforced by the differential
+tests).
 
 Models (all seeded, all composable with ``|`` or :func:`compose`):
 
@@ -25,14 +26,15 @@ Models (all seeded, all composable with ``|`` or :func:`compose`):
 
 Cross-engine determinism
 ------------------------
-The two engines visit work in different orders (the dense engine sweeps all
-synapses of a tick at once; the event engine follows heap order), so fault
-decisions must not consume a sequential RNG stream.  Every per-event
+The engines visit work in different orders (the dense engine sweeps all
+synapses of a tick at once, the sparse core groups them by delay, the
+event engine follows heap order), so fault decisions must not consume a
+sequential RNG stream.  Every per-event
 decision here is a *counter-based* hash of ``(seed, tick, entity id)`` —
 a splitmix64 finalizer — making the decision a pure function of what is
 faulted, never of visit order.  Bind-time draws (drift directions) use an
-ordinary seeded generator, which is safe because both engines bind the same
-model against the same compiled network.
+ordinary seeded generator, which is safe because every engine binds the
+same model against the same compiled network.
 """
 
 from __future__ import annotations
@@ -186,7 +188,7 @@ class SpikeDrop(FaultModel):
     With ``sources`` given, only deliveries leaving those neurons are
     droppable — used e.g. to fault a single TMR replica.  The decision for
     a delivery is a counter-hash of ``(seed, emission tick, synapse id)``,
-    so both engines lose exactly the same deliveries.
+    so every engine loses exactly the same deliveries.
     """
 
     def __init__(self, p: float, *, seed: int = 0, sources: Optional[Iterable[int]] = None):

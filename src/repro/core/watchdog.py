@@ -2,7 +2,7 @@
 
 Networks with unintended excitatory cycles oscillate forever and, without a
 guard, silently burn the whole ``max_steps`` budget.  A :class:`Watchdog`
-arms two diagnostics in either engine (and :class:`~repro.core.session.DenseSession`):
+arms two diagnostics in every engine (and :class:`~repro.core.session.DenseSession`):
 
 * **runaway spike-rate detection** — if any non-exempt neuron fires at least
   ``max_spikes_per_neuron`` times within a sliding ``window`` of ticks, the
@@ -118,11 +118,11 @@ class WatchdogReport:
 
 
 class WatchdogState:
-    """Per-run sliding-window spike accounting shared by both engines.
+    """Per-run sliding-window spike accounting shared by every engine.
 
     The window is pruned by *tick value*, not by call count, so the event
-    engine (which skips quiet ticks) and the dense engine (which visits every
-    tick) compute identical rates.
+    and sparse engines (which skip quiet ticks) and the dense engine (which
+    visits every tick) compute identical rates.
     """
 
     def __init__(self, config: Watchdog, n: int, names: Iterable[Optional[str]] = ()):

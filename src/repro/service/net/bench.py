@@ -14,12 +14,14 @@ Two benchmarks share the ``BENCH_serving.json`` artifact written by
 - :func:`run_pool_comparison` serves one CPU-bound all-pairs workload
   three ways — thread-pool workers, process-pool workers, and the sharded
   fixpoint router — and reports one row per tier (wall, throughput,
-  p50/p99) plus the process-vs-thread speedup.  The rows answer the
-  question the process tier exists for: with real CPUs, batched
-  simulation in worker processes sidesteps the GIL that makes thread
-  workers serialize.  ``cpu_count`` is recorded because the speedup is
-  machine-dependent — on a single-CPU container the process tier can only
-  add overhead, which is why CI gates its ≥2x assertion on ``cpu_count``.
+  p50/p99) plus the process-vs-thread speedup.  The thread and process
+  rows are the median of ``POOL_TRIALS`` interleaved trials on warmed
+  pools.  The rows answer the question the process tier exists for: with
+  real CPUs, batched simulation in worker processes sidesteps the GIL
+  that makes thread workers serialize.  ``cpu_count`` is recorded because
+  the speedup is machine-dependent — on a single-CPU container the process
+  tier can only add overhead, which is why CI gates its ≥2x assertion on
+  ``cpu_count``.
 """
 
 from __future__ import annotations
@@ -188,6 +190,16 @@ def _apsp_requests(
     ]
 
 
+#: Timed thread/process trial pairs behind each pool-comparison row.
+POOL_TRIALS = 3
+
+
+def _median_row(rows: List[Dict[str, object]]) -> Dict[str, object]:
+    """The trial row with the median wall time (``rows`` has odd length)."""
+    ordered = sorted(rows, key=lambda r: float(r["wall_s"]))  # type: ignore[arg-type]
+    return dict(ordered[len(ordered) // 2], trials=len(rows))
+
+
 def _serve_row(
     requests: List[QueryRequest],
     make_server: Callable[[], QueryServer],
@@ -271,17 +283,27 @@ def run_pool_comparison(
     def register_sharded(server: QueryServer) -> None:
         server.register_sharded_graph("g", graph, shards)
 
-    thread_results, thread_row = _serve_row(
-        apsp, fresh(None), register_plain, timeout_s=timeout_s
-    )
     pool = ProcessWorkerPool(workers=process_workers)
     try:
-        # Untimed warmup: spawn cost (interpreter + imports) and the one-time
-        # network handoff must not be billed to the timed process row.
+        # Untimed warmups: process spawn (interpreter + imports), the
+        # one-time network handoff and first-use caches on either side must
+        # not be billed to a timed row.
+        _serve_row(apsp[:1], fresh(None), register_plain, timeout_s=timeout_s)
         _serve_row(apsp[:1], fresh(pool), register_plain, timeout_s=timeout_s)
-        proc_results, proc_row = _serve_row(
-            apsp, fresh(pool), register_plain, timeout_s=timeout_s
-        )
+        # Interleaved trials: load drift on a shared machine hits both
+        # tiers alike, and the median row shrugs off one noisy trial.
+        thread_rows: List[Dict[str, object]] = []
+        proc_rows: List[Dict[str, object]] = []
+        for _ in range(POOL_TRIALS):
+            thread_results, row = _serve_row(
+                apsp, fresh(None), register_plain, timeout_s=timeout_s
+            )
+            thread_rows.append(row)
+            proc_results, row = _serve_row(
+                apsp, fresh(pool), register_plain, timeout_s=timeout_s
+            )
+            proc_rows.append(row)
+        thread_row, proc_row = _median_row(thread_rows), _median_row(proc_rows)
         shard_results, shard_row = _serve_row(
             sssp, fresh(pool), register_sharded, timeout_s=timeout_s
         )

@@ -1190,17 +1190,20 @@ class QueryServer:
             self.registry.observe("service.batch.items", total_items)
             self.registry.observe("service.batch.requests", len(tickets))
             self.registry.gauge_set("service.queue.depth", self._queue.depth())
-            for t, qr in claimed:
-                self.registry.counter_inc(
-                    "service.requests.completed"
-                    if qr.ok
-                    else "service.requests.errors"
-                )
-                self.registry.timer_observe("service.latency.queue", qr.queued_s)
-                self.registry.timer_observe("service.latency.service", qr.service_s)
-                self.registry.timer_observe(
-                    "service.latency.total", qr.queued_s + qr.service_s
-                )
+            for _, qr in claimed:
+                self._observe_completion(qr)
+
+    def _observe_completion(self, qr: QueryResult) -> None:
+        """Count one completed request and its queue/service/total latency.
+
+        The caller holds ``_reg_lock``.
+        """
+        self.registry.counter_inc(
+            "service.requests.completed" if qr.ok else "service.requests.errors"
+        )
+        self.registry.timer_observe("service.latency.queue", qr.queued_s)
+        self.registry.timer_observe("service.latency.service", qr.service_s)
+        self.registry.timer_observe("service.latency.total", qr.queued_s + qr.service_s)
 
     def _dispatch_runners(
         self, tickets: List[QueryTicket], seq: int, skew: float
@@ -1278,17 +1281,8 @@ class QueryServer:
             self.registry.counter_inc("service.batches")
             self.registry.counter_inc("service.batches.sharded", len(tickets))
             self.registry.gauge_set("service.queue.depth", self._queue.depth())
-            for t, qr in claimed:
-                self.registry.counter_inc(
-                    "service.requests.completed"
-                    if qr.ok
-                    else "service.requests.errors"
-                )
-                self.registry.timer_observe("service.latency.queue", qr.queued_s)
-                self.registry.timer_observe("service.latency.service", qr.service_s)
-                self.registry.timer_observe(
-                    "service.latency.total", qr.queued_s + qr.service_s
-                )
+            for _, qr in claimed:
+                self._observe_completion(qr)
 
     # ------------------------------------------------------------------ #
     # Mutations
@@ -1337,15 +1331,8 @@ class QueryServer:
             if self._breaker_policy is not None:
                 self._breaker_for(t.request.kind, t.request.graph_id).record(qr.ok)
             with self._reg_lock:
-                self.registry.counter_inc(
-                    "service.requests.completed" if qr.ok else "service.requests.errors"
-                )
+                self._observe_completion(qr)
                 self.registry.counter_inc("service.mutations.applied" if qr.ok else "service.mutations.failed")
-                self.registry.timer_observe("service.latency.queue", qr.queued_s)
-                self.registry.timer_observe("service.latency.service", qr.service_s)
-                self.registry.timer_observe(
-                    "service.latency.total", qr.queued_s + qr.service_s
-                )
         with self._reg_lock:
             self.registry.counter_inc("service.batches")
             self.registry.counter_inc("service.batches.mutation")

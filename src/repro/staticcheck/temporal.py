@@ -67,7 +67,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from repro.core.engine import StimulusSpec, _normalize_stimulus
+from repro.core.stepping import StimulusSpec, normalize_stimulus
 from repro.core.network import CompiledNetwork, Network
 from repro.errors import ValidationError
 from repro.staticcheck.rules import _max_voltage
@@ -185,12 +185,10 @@ def _stim_bounds(
     stimulus: Optional[StimulusSpec], n: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """First/last stimulus tick per neuron (-1 where unstimulated)."""
-    stim = _normalize_stimulus(stimulus)
+    stim = normalize_stimulus(stimulus, n)
     stim_min = np.full(n, -1, dtype=np.int64)
     stim_max = np.full(n, -1, dtype=np.int64)
     for tick, ids in stim.items():
-        if ids.size and (ids.min() < 0 or ids.max() >= n):
-            raise ValidationError("stimulus neuron id out of range")
         cur = stim_min[ids]
         stim_min[ids] = np.where(cur < 0, tick, np.minimum(cur, tick))
         stim_max[ids] = np.maximum(stim_max[ids], tick)

@@ -1,19 +1,20 @@
 """Per-tick engine observation hooks.
 
-Both simulation engines (:func:`~repro.core.engine.simulate_dense`,
-:func:`~repro.core.event_engine.simulate_event_driven`) and the stepping
-:class:`~repro.core.session.DenseSession` accept an optional ``hooks``
-argument.  When given, the engine reports each observable event to the
+Every simulation engine (:func:`~repro.core.engine.simulate_dense`,
+:func:`~repro.core.event_engine.simulate_event_driven`,
+:func:`~repro.core.sparse.simulate_sparse`, the batched dense engine) and
+the stepping :class:`~repro.core.session.DenseSession` accept an optional
+``hooks`` argument.  When given, the engine reports each observable event to the
 corresponding callback; when ``None`` (the default), every call site is a
 single ``if hooks is not None`` branch, which is what keeps the disabled
 path effectively free.
 
-The contract the engine-equivalence tests enforce: on any network both
-engines support, equivalent runs report **identical totals** through this
+The contract the engine-equivalence tests enforce: on any network two
+engines both support, equivalent runs report **identical totals** through this
 API — same spike counts, same scheduled/dropped delivery counts, same
 forced and suppressed fault realizations — even though the engines visit
 the work in different orders (the dense engine aggregates each tick, the
-event engine aggregates each active tick's batch).
+event and sparse engines each active tick's batch).
 
 This module deliberately imports nothing from :mod:`repro.core`, so the
 engines can import it without cycles.

@@ -41,7 +41,6 @@ __all__ = [
     "NET_FIELDS",
     "assert_identical",
     "assert_networks_identical",
-    "assert_same_raster_upto",
     "assert_same_simulation",
     "batch_cases",
     "fault_models",
@@ -188,8 +187,7 @@ def fault_models(draw, n):
 def assert_identical(res_a, res_b, *, label=""):
     """Full result equality: spikes, counts, rasters, and stop metadata.
 
-    For engine pairs that promise identical semantics end to end (dense vs
-    batched dense, dense vs sparse).
+    Every engine pair promises identical semantics end to end.
     """
     assert res_a.first_spike.tolist() == res_b.first_spike.tolist(), label
     assert res_a.spike_counts.tolist() == res_b.spike_counts.tolist(), label
@@ -203,24 +201,6 @@ def assert_identical(res_a, res_b, *, label=""):
             assert (
                 sorted(a_ev[t].tolist()) == sorted(b_ev[t].tolist())
             ), f"{label} tick {t}"
-
-
-def assert_same_raster_upto(res_a, res_b, *, label=""):
-    """Spike equality up to the common horizon, ignoring stop metadata.
-
-    For cross-engine pairs where ``final_tick`` legitimately differs: the
-    event engine reports the last event time, while the dense-semantics
-    engines need one extra quiet tick to observe quiescence.
-    """
-    assert res_a.first_spike.tolist() == res_b.first_spike.tolist(), label
-    assert res_a.spike_counts.tolist() == res_b.spike_counts.tolist(), label
-    horizon = min(res_a.final_tick, res_b.final_tick)
-    for t in range(horizon + 1):
-        a = res_a.spike_events.get(t)
-        b = res_b.spike_events.get(t)
-        a_ids = [] if a is None else sorted(a.tolist())
-        b_ids = [] if b is None else sorted(b.tolist())
-        assert a_ids == b_ids, f"{label} tick {t}: {a_ids} vs {b_ids}"
 
 
 def assert_networks_identical(a, b) -> None:

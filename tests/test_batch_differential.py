@@ -8,10 +8,8 @@ spike-for-spike equality against both reference executions:
 
 * **sequential dense** — exact equality on everything, including stop
   reason, final tick, and full recorded rasters;
-* **event-driven** — equality on first-spike times, spike counts, and
-  spike trains (stop metadata legitimately differs: the event engine
-  reports the last event time as its final tick, while the dense engines
-  need one extra quiet tick to observe quiescence).
+* **event-driven** — the same exact equality, compared with
+  ``assert_identical``, stop metadata included.
 
 Per-item telemetry hooks must likewise observe exactly the solo event
 stream (spike, delivery, and fault-event totals).
@@ -25,7 +23,6 @@ from repro.telemetry import TraceRecorder
 from tests.differential import (
     MAX_STEPS,
     assert_identical,
-    assert_same_raster_upto,
     batch_cases,
     fault_models,
 )
@@ -68,11 +65,7 @@ def test_batched_plain_fast_path_matches_sequential_dense(case):
 @given(batch_cases())
 @settings(max_examples=40)
 def test_batched_matches_event_driven(case):
-    """Cross-engine: batched dense vs the event engine, per item.
-
-    Stop metadata is engine-specific, so the comparison covers first-spike
-    times, spike counts, and the spike trains up to the common horizon.
-    """
+    """Cross-engine: batched dense vs the event engine, per item."""
     net, stimuli, terminal, watch = case
     compiled = net.compile()
     batch = simulate_dense_batch(
@@ -84,7 +77,7 @@ def test_batched_matches_event_driven(case):
             compiled, stim, max_steps=MAX_STEPS, terminal=terminal, watch=watch,
             record_spikes=True,
         )
-        assert_same_raster_upto(batch[b], ev, label=f"item {b}")
+        assert_identical(batch[b], ev, label=f"item {b}")
 
 
 @given(batch_cases(), st.data())

@@ -12,7 +12,7 @@ from repro.core import Network, simulate_dense, simulate_event_driven
 from repro.core.session import DenseSession
 from repro.telemetry import TraceRecorder
 from tests.differential import (
-    assert_same_raster_upto,
+    assert_identical,
     fault_models,
     random_networks,
 )
@@ -26,7 +26,7 @@ def test_engines_agree_on_integer_tau_networks(case):
     r_dense = simulate_dense(net, stim, max_steps=60, stop_when_quiescent=True,
                              record_spikes=True)
     r_event = simulate_event_driven(net, stim, max_steps=60, record_spikes=True)
-    assert_same_raster_upto(r_dense, r_event)
+    assert_identical(r_dense, r_event)
 
 
 @given(random_networks(), st.data())
@@ -39,7 +39,7 @@ def test_engines_agree_under_transient_faults(case, data):
                              record_spikes=True, faults=faults)
     r_event = simulate_event_driven(net, stim, max_steps=60, record_spikes=True,
                                     faults=faults)
-    assert_same_raster_upto(r_dense, r_event)
+    assert_identical(r_dense, r_event)
 
 
 @given(random_networks(), st.data())

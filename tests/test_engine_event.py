@@ -92,10 +92,21 @@ class TestBasics:
 
 class TestStops:
     def test_quiescent_when_heap_empty(self):
+        # like the dense engine: the tick after the last spike is the
+        # first one that observes quiescence
         net, ids = chain([2])
         r = simulate_event_driven(net, [ids[0]], max_steps=100)
         assert r.stop_reason is StopReason.QUIESCENT
-        assert r.final_tick == 2
+        assert r.final_tick == 3
+
+    def test_runs_out_budget_when_not_stopping_on_quiescence(self):
+        net, ids = chain([2])
+        r = simulate_event_driven(
+            net, [ids[0]], max_steps=100, stop_when_quiescent=False
+        )
+        assert r.stop_reason is StopReason.MAX_STEPS
+        assert r.final_tick == 100
+        assert r.first_spike[ids[1]] == 2
 
     def test_terminal(self):
         net, ids = chain([4, 4])

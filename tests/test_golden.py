@@ -80,8 +80,7 @@ def test_golden_sssp_raster(fixture, engine):
         for t, ids_t in res.spike_events.items()
     }
     assert raster == payload["raster"]
-    if engine != "event":  # the event engine's final tick is the last event time
-        assert res.final_tick == payload["final_tick"]
+    assert res.final_tick == payload["final_tick"]
 
 
 def test_golden_khop_poly():

@@ -5,6 +5,7 @@ import pytest
 from repro.core import Network, simulate, simulate_batch
 from repro.core.run import ENGINES, _EVENT_DELAY_CUTOFF
 from repro.core.sparse import SPARSE_AUTO_MIN_NEURONS
+from repro.core.watchdog import Watchdog
 from repro.errors import ValidationError, classify_exception
 
 
@@ -90,6 +91,26 @@ class TestAutoDispatch:
         net, a, _ = make_net()
         with pytest.raises(ValidationError) as exc:
             simulate_batch(net, [[a]], max_steps=5, engine="warp")
+        assert classify_exception(exc.value)[0] == "INVALID"
+
+    @pytest.mark.parametrize("arg", ["watch", "terminal"])
+    @pytest.mark.parametrize("bad", [-1, 2])
+    @pytest.mark.parametrize(
+        "runner", ["dense", "event", "sparse", "batch", "batch-fallback"]
+    )
+    def test_out_of_range_watch_and_terminal_rejected(self, runner, bad, arg):
+        """Negative ids must not wrap to the last neuron, and ids past the
+        end must not escape as a raw IndexError, on any run path."""
+        net, a, _ = make_net()
+        kw = {"watch": [bad]} if arg == "watch" else {"terminal": bad}
+        with pytest.raises(ValidationError) as exc:
+            if runner == "batch":
+                simulate_batch(net, [[a]], max_steps=5, engine="dense", **kw)
+            elif runner == "batch-fallback":
+                # a watchdog sends the batch down the per-item path
+                simulate_batch(net, [[a]], max_steps=5, watchdog=Watchdog(), **kw)
+            else:
+                simulate(net, [a], max_steps=5, engine=runner, **kw)
         assert classify_exception(exc.value)[0] == "INVALID"
 
     @pytest.mark.parametrize("engine", ["dense", "event", "sparse"])

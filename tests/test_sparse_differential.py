@@ -9,9 +9,8 @@ buffer many times), multi-wave stimuli, stop configurations, and composite
 fault models, and asserts equality against:
 
 * **dense** — exact equality on everything (the contract);
-* **event-driven** — raster equality up to the common horizon (stop
-  metadata legitimately differs: the event engine reports the last event
-  time as its final tick).
+* **event-driven** — exact equality on everything too, compared with
+  ``assert_identical``, stop metadata included.
 
 Built on the shared strategy/assertion library in ``tests/differential.py``.
 """
@@ -25,7 +24,6 @@ from repro.telemetry import TraceRecorder
 from tests.differential import (
     MAX_STEPS,
     assert_identical,
-    assert_same_raster_upto,
     fault_models,
     random_networks,
 )
@@ -131,7 +129,7 @@ def test_sparse_hook_totals_match_dense(case, data):
 @given(random_networks(max_delay=10))
 @settings(max_examples=40)
 def test_sparse_matches_event_driven(case):
-    """Cross-check against the event engine up to the common horizon."""
+    """Cross-check against the event engine, stop metadata included."""
     net, stim = case
     compiled = net.compile()
     rs = simulate_sparse(
@@ -140,7 +138,7 @@ def test_sparse_matches_event_driven(case):
     re = simulate_event_driven(
         compiled, stim, max_steps=MAX_STEPS, record_spikes=True,
     )
-    assert_same_raster_upto(rs, re)
+    assert_identical(rs, re)
 
 
 def test_sparse_rejects_pacemakers():

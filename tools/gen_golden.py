@@ -96,15 +96,13 @@ def sssp_fixture(name: str, g: WeightedDigraph, source: int) -> dict:
     sim = replay_sssp(net, ids, source, horizon, "dense")
     raster = _raster_of(sim)
     # Self-check before freezing: every execution path must already agree
-    # with the dense raster (the event engine's final tick legitimately
-    # differs; dense-semantics paths must match it exactly).
+    # with the dense raster and final tick.
     for engine in ENGINE_PATHS:
         if engine == "dense":
             continue
         other = replay_sssp(net, ids, source, horizon, engine)
         assert _raster_of(other) == raster, f"{name}: {engine} raster drift"
-        if engine != "event":
-            assert other.final_tick == sim.final_tick, f"{name}: {engine}"
+        assert other.final_tick == sim.final_tick, f"{name}: {engine}"
     return {
         "schema": SCHEMA,
         "name": name,
