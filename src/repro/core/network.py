@@ -223,7 +223,10 @@ class CompiledNetwork:
         stashed on the instance; shipping it to a worker process would
         multiply pipe traffic for a structure the receiver can rebuild on
         first use.  Dropping it keeps compiled-network handoff slim and
-        leaves the unpickled copy semantically identical.
+        leaves the unpickled copy semantically identical.  The last run's
+        profile (four ints, see :func:`repro.core.run.choose_engine`) is
+        kept, so a network shipped to a worker dispatches from its first
+        run there as it would here.
         """
         state = dict(self.__dict__)
         state.pop("_sparse_artifact", None)

@@ -38,6 +38,7 @@ import numpy as np
 from repro.dynamic.graph import MutableGraph
 from repro.errors import ReproError, ValidationError
 from repro.service.schema import QueryRequest
+from repro.telemetry import percentile
 from repro.workloads.graph import WeightedDigraph
 
 __all__ = [
@@ -326,12 +327,6 @@ def op_to_request(op: Mapping[str, Any]) -> QueryRequest:
 # ---------------------------------------------------------------------- #
 
 
-def _percentile(values: List[float], q: float) -> float:
-    if not values:
-        return 0.0
-    return float(np.percentile(np.asarray(values, dtype=np.float64), q))
-
-
 def replay_stream(
     server: Any,
     ops: Sequence[Mapping[str, Any]],
@@ -407,8 +402,8 @@ def replay_stream(
     for op_type, vals in sorted(latencies.items()):
         per_type[op_type] = {
             "count": len(vals),
-            "p50_s": round(_percentile(vals, 50), 6),
-            "p99_s": round(_percentile(vals, 99), 6),
+            "p50_s": round(percentile(vals, 0.50), 6),
+            "p99_s": round(percentile(vals, 0.99), 6),
             "mean_s": round(float(np.mean(vals)), 6) if vals else 0.0,
         }
     reads = [v for t, vs in latencies.items() if t in READ_OP_KINDS for v in vs]
@@ -422,13 +417,13 @@ def replay_stream(
         "per_type": per_type,
         "reads": {
             "count": len(reads),
-            "p50_s": round(_percentile(reads, 50), 6),
-            "p99_s": round(_percentile(reads, 99), 6),
+            "p50_s": round(percentile(reads, 0.50), 6),
+            "p99_s": round(percentile(reads, 0.99), 6),
         },
         "writes": {
             "count": len(writes),
-            "p50_s": round(_percentile(writes, 50), 6),
-            "p99_s": round(_percentile(writes, 99), 6),
+            "p50_s": round(percentile(writes, 0.50), 6),
+            "p99_s": round(percentile(writes, 0.99), 6),
         },
         "final_versions": final_versions,
     }

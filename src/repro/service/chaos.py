@@ -36,8 +36,9 @@ import numpy as np
 from repro.core.transient import _uniform_hash
 from repro.errors import ValidationError
 from repro.service.adapters import execute_solo, plan_request
-from repro.service.loadgen import _percentile, generate_requests, results_equal
+from repro.service.loadgen import generate_requests, results_equal
 from repro.service.schema import QueryResult
+from repro.telemetry import percentile
 from repro.workloads.graph import WeightedDigraph
 
 __all__ = ["ChaosPolicy", "InjectedWorkerCrash", "SCENARIOS", "run_chaos"]
@@ -338,8 +339,8 @@ def run_chaos(
             "ok": n_ok,
             "degraded": n_degraded,
             "statuses": statuses,
-            "latency_p50_s": round(_percentile(latencies, 0.50), 6),
-            "latency_p99_s": round(_percentile(latencies, 0.99), 6),
+            "latency_p50_s": round(percentile(latencies, 0.50), 6),
+            "latency_p99_s": round(percentile(latencies, 0.99), 6),
         },
         "supervisor": {
             "crashes": sup["crashes"],

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from repro.errors import ServiceOverloadedError, ValidationError
 from repro.service.adapters import execute_solo, plan_request
 from repro.service.schema import QueryRequest, QueryResult, fault_from_spec
 from repro.service.server import QueryServer
+from repro.telemetry import percentile
 from repro.workloads.graph import WeightedDigraph
 
 __all__ = ["generate_requests", "run_loadgen", "results_equal", "DEFAULT_MIX"]
@@ -156,14 +157,6 @@ def results_equal(served: QueryResult, naive: Dict[str, Any]) -> bool:
             ):
                 return False
     return True
-
-
-def _percentile(values: Sequence[float], q: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    idx = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return float(ordered[idx])
 
 
 def _drive_clients(
@@ -325,8 +318,8 @@ def run_loadgen(
             "ok": kind_ok,
             "errors": len(idx) - kind_ok,
             "error_codes": error_codes,
-            "latency_p50_s": round(_percentile(lats, 0.50), 6),
-            "latency_p99_s": round(_percentile(lats, 0.99), 6),
+            "latency_p50_s": round(percentile(lats, 0.50), 6),
+            "latency_p99_s": round(percentile(lats, 0.99), 6),
         }
 
     mismatches = 0
@@ -349,8 +342,8 @@ def run_loadgen(
                 "throughput_rps": round(len(requests) / naive_wall, 3)
                 if naive_wall > 0
                 else None,
-                "latency_p50_s": round(_percentile(naive_lat, 0.50), 6),
-                "latency_p99_s": round(_percentile(naive_lat, 0.99), 6),
+                "latency_p50_s": round(percentile(naive_lat, 0.50), 6),
+                "latency_p99_s": round(percentile(naive_lat, 0.99), 6),
             }
             if naive_wall > 0 and serve_wall > 0:
                 speedup = round(naive_wall / serve_wall, 3)
@@ -380,8 +373,8 @@ def run_loadgen(
             "throughput_rps": round(len(requests) / serve_wall, 3)
             if serve_wall > 0
             else None,
-            "latency_p50_s": round(_percentile(latencies, 0.50), 6),
-            "latency_p99_s": round(_percentile(latencies, 0.99), 6),
+            "latency_p50_s": round(percentile(latencies, 0.50), 6),
+            "latency_p99_s": round(percentile(latencies, 0.99), 6),
             "batches": int(metrics["counters"].get("service.batches", 0)),
             "coalesced_batches": int(
                 metrics["counters"].get("service.batches.coalesced", 0)

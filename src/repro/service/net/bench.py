@@ -35,11 +35,12 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.service.adapters import execute_solo, plan_request
-from repro.service.loadgen import _percentile, generate_requests
+from repro.service.loadgen import generate_requests
 from repro.service.net.client import NetClient
 from repro.service.net.procpool import ProcessWorkerPool
 from repro.service.schema import QueryRequest, QueryResult, request_to_dict
 from repro.service.server import QueryServer
+from repro.telemetry import percentile
 from repro.workloads.graph import WeightedDigraph
 
 __all__ = ["run_net_loadgen", "run_pool_comparison", "NET_BENCH_SCHEMA"]
@@ -136,8 +137,8 @@ def run_net_loadgen(
         "target": f"{host}:{port}",
         "wall_s": round(wall_s, 6),
         "throughput_rps": round(len(docs) / wall_s, 3) if wall_s > 0 else None,
-        "latency_p50_s": round(_percentile(latencies, 0.50), 6),
-        "latency_p99_s": round(_percentile(latencies, 0.99), 6),
+        "latency_p50_s": round(percentile(latencies, 0.50), 6),
+        "latency_p99_s": round(percentile(latencies, 0.99), 6),
         "requests": len(docs),
         "connections": connections,
         "depth": depth,
@@ -224,8 +225,8 @@ def _serve_row(
     row: Dict[str, object] = {
         "wall_s": round(wall_s, 6),
         "throughput_rps": round(len(requests) / wall_s, 3) if wall_s > 0 else None,
-        "latency_p50_s": round(_percentile(latencies, 0.50), 6),
-        "latency_p99_s": round(_percentile(latencies, 0.99), 6),
+        "latency_p50_s": round(percentile(latencies, 0.50), 6),
+        "latency_p99_s": round(percentile(latencies, 0.99), 6),
         "requests": len(requests),
         "ok": sum(1 for r in results if r.ok),
     }

@@ -29,6 +29,7 @@ from repro.telemetry.metrics import (
     counter_inc,
     gauge_set,
     observe,
+    percentile,
     timer,
     use_registry,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "counter_inc",
     "gauge_set",
     "observe",
+    "percentile",
     "timer",
     "EngineHooks",
     "compose_hooks",

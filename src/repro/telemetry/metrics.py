@@ -24,7 +24,7 @@ from __future__ import annotations
 import contextvars
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
 __all__ = [
     "MetricsRegistry",
@@ -35,6 +35,7 @@ __all__ = [
     "gauge_set",
     "merge_raw_into_active",
     "observe",
+    "percentile",
     "timer",
 ]
 
@@ -75,6 +76,20 @@ class _Timer:
     def __exit__(self, *exc) -> bool:
         self._registry.timer_observe(self._name, time.perf_counter() - self._t0)
         return False
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """The ``q`` quantile (``0 <= q <= 1``) of ``values`` by nearest rank.
+
+    Returns the sorted value at index ``round(q * (len(values) - 1))``, an
+    observed latency rather than an interpolation between two; 0.0 when
+    ``values`` is empty.  Every latency report of the package uses it.
+    """
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    idx = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
+    return float(ordered[idx])
 
 
 def _series_summary(values: List[float]) -> Dict[str, float]:

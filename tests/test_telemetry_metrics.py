@@ -8,6 +8,7 @@ from repro.telemetry import (
     counter_inc,
     gauge_set,
     observe,
+    percentile,
     timer,
     use_registry,
 )
@@ -121,3 +122,15 @@ class TestContextScoping:
             with use_registry(reg):
                 raise RuntimeError("boom")
         assert active_registry() is None
+
+
+class TestPercentile:
+    def test_nearest_rank_returns_an_observed_value(self):
+        values = [0.4, 0.1, 0.3, 0.2]
+        assert percentile(values, 0.0) == 0.1
+        assert percentile(values, 0.5) == 0.3  # index round(1.5) = 2
+        assert percentile(values, 0.99) == 0.4
+        assert percentile(values, 1.0) == 0.4
+
+    def test_empty_is_zero(self):
+        assert percentile([], 0.5) == 0.0
